@@ -3,8 +3,10 @@ export PYTHONPATH := src
 
 .PHONY: test bench bench-quick trace-quick scale-quick flow-quick chaos-quick shard-quick metrics-quick traffic-quick buffer-quick
 
+# Tier-1 suite; deprecation warnings are errors, and a run must leave
+# the worktree clean (no test writes a tracked file).
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q -W error::DeprecationWarning
 
 # Full benchmark grid (prints tables; writes results/*.json).
 bench:

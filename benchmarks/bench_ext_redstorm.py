@@ -21,6 +21,7 @@ from repro.bench import format_rows, run_checkpoint_trial, run_create_trial, sav
 from repro.bench.executor import checkpoint_spec, run_sweep
 from repro.machine import dev_cluster, red_storm
 from repro.sim import SimConfig
+from repro.sim.config import RunOptions
 from repro.units import MiB
 
 from conftest import run_once
@@ -56,8 +57,7 @@ def _row(impl, fn=run_checkpoint_trial, collapse=False, flow=False, **kw):
         spec=spec,
         config=SimConfig(seed=91),
         seed=91,
-        collapse=collapse,
-        flow=flow,
+        options=RunOptions(collapse=collapse, flow=flow),
         **kw,
     )
     wall = time.perf_counter() - start
@@ -152,7 +152,7 @@ def _flow_specs(flow, collapse=False):
         checkpoint_spec(
             impl, N_CLIENTS, N_SERVERS, seed=91,
             spec=spec, config=SimConfig(seed=91),
-            state_bytes=FLOW_STATE, flow=flow, collapse=collapse,
+            state_bytes=FLOW_STATE, options=RunOptions(flow=flow, collapse=collapse),
         )
         for impl in ("lwfs", "lustre-fpp")
     ]
@@ -171,14 +171,15 @@ def test_flow_level_accuracy_and_speedup(benchmark):
         # Red Storm 128-client slice, exact vs flow, via the executor so
         # both sweeps are recorded in BENCH_sweep.json.
         exact = run_sweep(
-            _flow_specs(False), jobs=1, label="redstorm-flow-exact", cache=False
+            _flow_specs(False), jobs=1, label="redstorm-flow-exact", record=True,
+            cache=False,
         )
         flowed = run_sweep(
-            _flow_specs(True), jobs=1, label="redstorm-flow", cache=False
+            _flow_specs(True), jobs=1, label="redstorm-flow", record=True, cache=False
         )
         both = run_sweep(
             _flow_specs(True, collapse=True), jobs=1,
-            label="redstorm-flow-collapse", cache=False,
+            label="redstorm-flow-collapse", record=True, cache=False,
         )
 
         # Dev-cluster slice: same accuracy envelope on the slow machine.
@@ -186,7 +187,7 @@ def test_flow_level_accuracy_and_speedup(benchmark):
         for flow in (False, True):
             result = run_checkpoint_trial(
                 "lwfs", 16, 8, spec=dev_cluster(), config=SimConfig(seed=91),
-                seed=91, state_bytes=FLOW_STATE, flow=flow,
+                seed=91, state_bytes=FLOW_STATE, options=RunOptions(flow=flow),
             )
             dev[flow] = result.throughput_mb_s
         return exact, flowed, both, dev

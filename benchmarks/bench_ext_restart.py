@@ -9,6 +9,7 @@ the max rank time, mirroring the Fig. 9 methodology.
 
 from repro.bench import format_rows, save_json
 from repro.bench.harness import _build
+from repro.sim.config import RunOptions
 from repro.storage import SyntheticData, data_equal
 from repro.units import MiB
 
@@ -20,7 +21,7 @@ STATE = 16 * MiB
 def _restart_throughput(impl, n_clients, n_servers, seed=55, collapse=False):
     cluster, deployment, checkpointer, app, _injector = _build(
         impl, n_clients, n_servers, seed,
-        collapse=collapse, collapse_state_bytes=STATE,
+        opts=RunOptions(collapse=collapse).resolved(), collapse_state_bytes=STATE,
     )
 
     def main(ctx):

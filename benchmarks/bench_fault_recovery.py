@@ -73,7 +73,8 @@ def test_fault_recovery(benchmark, jobs):
             for _, impl, target, at in SCENARIOS
         ]
         outcomes = run_sweep(
-            clean_specs + fault_specs, jobs=jobs, label="fault-recovery"
+            clean_specs + fault_specs, jobs=jobs, label="fault-recovery",
+            record=True,
         )
         clean = {o.spec.impl: o for o in outcomes[: len(clean_specs)]}
         rows = []

@@ -20,7 +20,7 @@ Four workloads:
 
 Figures land in ``results/simkernel_events.json`` /
 ``results/simkernel_timer_race.json``, and every workload is measured
-with the lazy-cancellation path ON and OFF (``REPRO_KERNEL_LAZY``
+with the lazy-cancellation path ON and OFF (``repro.simkernel.core.LAZY``
 reference) into ``BENCH_kernel.json`` at the repo root, which
 ``benchmarks/check_kernel_perf.py`` uses as its regression baseline.
 """
@@ -239,7 +239,9 @@ def test_simkernel_timer_race(benchmark):
         f"{stats['events_skipped_cancelled']} cancelled timers skipped"
     )
     save_json("simkernel_timer_race", stats)
-    if os.environ.get("REPRO_KERNEL_LAZY", "1") != "0":
+    from repro.simkernel import core
+
+    if core.LAZY:
         # Every create RPC arms a timer its reply then cancels; under
         # lazy cancellation those MUST surface as pop-time skips.
         assert stats["events_skipped_cancelled"] > 0

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.bench import run_checkpoint_trial
+from repro.sim.config import RunOptions
 from repro.units import MiB
 
 from conftest import run_once
@@ -26,7 +27,7 @@ def _run_both():
     t_plain = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    traced = run_checkpoint_trial(**POINT, trace=True)
+    traced = run_checkpoint_trial(**POINT, options=RunOptions(trace=True))
     t_traced = time.perf_counter() - t0
 
     return {

@@ -9,9 +9,9 @@ server count re-simulates every point it already measured.
 This module gives :mod:`repro.bench.executor` a persistent cache keyed by
 a SHA-256 over the trial's full identity.  Warm entries skip simulation
 entirely; anything that could change a result — the ``repro`` version,
-the kernel/fabric fast-path env switches, any trial parameter — is part
-of the key, so stale hits are impossible by construction rather than by
-invalidation logic.
+any trial parameter, the resolved run options — is part of the key, so
+stale hits are impossible by construction rather than by invalidation
+logic.
 
 Layout: one small JSON file per trial under ``results/.trial-cache/``
 (first two hex chars shard the directory).  Escape hatches:
@@ -35,7 +35,7 @@ from typing import Any, Dict, Optional
 from .._version import __version__
 from ..sim.config import RunOptions, env_str
 
-__all__ = ["CACHE_SCHEMA", "TrialCache", "cache_enabled", "default_cache_dir", "trial_key"]
+__all__ = ["CACHE_SCHEMA", "TrialCache", "default_cache_dir", "trial_key"]
 
 #: Schema marker written into every cache entry; bump to invalidate.
 #: v3: accelerator switches (REPRO_FASTFORWARD / REPRO_SHARD) joined the
@@ -54,11 +54,6 @@ __all__ = ["CACHE_SCHEMA", "TrialCache", "cache_enabled", "default_cache_dir", "
 #: buffered trials grew the buffer_* drain stats in ``extra``, so v5
 #: entries are stale by construction.
 CACHE_SCHEMA = "repro-trial-cache/v6"
-
-
-def cache_enabled() -> bool:
-    """``False`` when ``REPRO_BENCH_CACHE=0`` opts the process out."""
-    return env_str("REPRO_BENCH_CACHE", "1") != "0"
 
 
 def default_cache_dir() -> str:
@@ -87,34 +82,20 @@ def _canonical(value: Any) -> Any:
 
 
 def _resolved_options(spec) -> RunOptions:
-    """The trial's effective :class:`RunOptions`, legacy kwargs folded in.
-
-    Mirrors ``repro.bench.harness._merge_options`` (minus the deprecation
-    warnings — the harness owns those) so the cache key sees exactly the
-    configuration the trial will run under, environment resolution
-    included.
-    """
-    from dataclasses import replace
-
-    opts = spec.params.get("options")
-    if not isinstance(opts, RunOptions):
-        opts = RunOptions()
-    legacy = {
-        name: bool(spec.params[name])
-        for name in ("trace", "collapse", "flow")
-        if spec.params.get(name) is not None
-    }
-    if spec.params.get("faults") is not None:
-        legacy["faults"] = spec.params["faults"]
-    if spec.params.get("tiers") is not None:
-        legacy["tiers"] = spec.params["tiers"]
-    if legacy:
-        opts = replace(opts, **legacy)
-    return opts.resolved()
+    """The :class:`RunOptions` the trial will run under, fully resolved."""
+    return (spec.params.get("options") or RunOptions()).resolved()
 
 
 def trial_key(spec) -> str:
-    """SHA-256 identity of one trial: spec + version + resolved options."""
+    """SHA-256 identity of one trial: spec + version + resolved options.
+
+    The options enter only through their resolved ``describe()`` form, so
+    two specs whose options resolve alike (an explicit value or the
+    matching ``REPRO_*`` variable) share a cache line, and any resolved
+    difference — including the fault plan's content hash — separates
+    them.
+    """
+    params = {k: v for k, v in spec.params.items() if k != "options"}
     doc = {
         "schema": CACHE_SCHEMA,
         "version": __version__,
@@ -123,20 +104,8 @@ def trial_key(spec) -> str:
         "n_clients": spec.n_clients,
         "n_servers": spec.n_servers,
         "seed": spec.seed,
-        "params": _canonical(spec.params),
-        # The full resolved RunOptions (including the fault plan's content
-        # hash): a cached fault-free outcome can never answer for a
-        # fault-injected spec, and fast paths stay out of each other's
-        # cache lines so a regression can never masquerade as a hit.
+        "params": _canonical(params),
         "options": _resolved_options(spec).describe(),
-        # Kill switches beat even explicit options, so their raw values
-        # are part of the identity too.
-        "fastpath": env_str("REPRO_FABRIC_FASTPATH", "1"),
-        "lazy": env_str("REPRO_KERNEL_LAZY", "1"),
-        "flow": env_str("REPRO_FLOW", ""),
-        "fastforward": env_str("REPRO_FASTFORWARD", ""),
-        "shard": env_str("REPRO_SHARD", ""),
-        "tenant_collapse": env_str("REPRO_TENANT_COLLAPSE", ""),
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -266,17 +266,16 @@ def _pool_context():
 def _resolve_cache(cache):
     """Map the ``cache`` argument to a TrialCache or None.
 
-    ``None`` (default) consults ``REPRO_BENCH_CACHE``; ``False`` disables
-    for this call; ``True`` forces the default store; a
-    :class:`~repro.bench.cache.TrialCache` instance is used as-is.
+    ``None`` (default) and ``True`` use the default store, which still
+    skips every spec whose resolved ``RunOptions.cache`` is off (so
+    ``REPRO_BENCH_CACHE=0`` opts out); ``False`` disables for this call;
+    a :class:`~repro.bench.cache.TrialCache` instance is used as-is.
     """
-    from .cache import TrialCache, cache_enabled
+    from .cache import TrialCache
 
-    if cache is None:
-        return TrialCache() if cache_enabled() else None
     if cache is False:
         return None
-    if cache is True:
+    if cache is None or cache is True:
         return TrialCache()
     return cache
 
@@ -455,10 +454,14 @@ def run_sweep(
     specs: Sequence[TrialSpec],
     jobs: Optional[int] = None,
     label: str = "sweep",
-    record: bool = True,
+    record: bool = False,
     cache=None,
 ) -> List[TrialOutcome]:
-    """Run a whole sweep, optionally recording stats to BENCH_sweep.json."""
+    """Run a whole sweep, optionally recording stats to BENCH_sweep.json.
+
+    Recording is opt-in: only the benchmark entry points (this module's
+    ``main`` and ``benchmarks/bench_*.py``) append to the tracked file.
+    """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     start = time.perf_counter()
@@ -569,6 +572,7 @@ def _flow_grid(flow: bool) -> List[TrialSpec]:
     """The flow accuracy gate: bulky dumps (> 2 chunks per rank), so the
     steady-state middle actually rides the flow engine, run with the flag
     both ways at otherwise identical points."""
+    from ..sim.config import RunOptions
     from ..units import MiB
 
     specs: List[TrialSpec] = []
@@ -576,7 +580,8 @@ def _flow_grid(flow: bool) -> List[TrialSpec]:
         for n, m in ((4, 2), (8, 4)):
             specs.append(
                 checkpoint_spec(
-                    impl, n, m, seed=300, state_bytes=32 * MiB, flow=flow
+                    impl, n, m, seed=300, state_bytes=32 * MiB,
+                    options=RunOptions(flow=flow),
                 )
             )
     return specs
@@ -719,7 +724,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     jobs = resolve_jobs(args.jobs)
     specs = _quick_grid()
     start = time.perf_counter()
-    outcomes = run_sweep(specs, jobs=jobs, label=f"quick(jobs={jobs})", cache=cache)
+    outcomes = run_sweep(
+        specs, jobs=jobs, label=f"quick(jobs={jobs})", record=True, cache=cache
+    )
     wall = time.perf_counter() - start
     hits = sum(1 for o in outcomes if o.cached)
     print(
@@ -733,7 +740,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("--check-cache is meaningless with --no-cache")
             return 2
         warm_start = time.perf_counter()
-        warm = run_sweep(specs, jobs=jobs, label=f"quick-warm(jobs={jobs})", cache=cache)
+        warm = run_sweep(
+            specs, jobs=jobs, label=f"quick-warm(jobs={jobs})", record=True, cache=cache
+        )
         warm_wall = time.perf_counter() - warm_start
         warm_hits = sum(1 for o in warm if o.cached)
         bad = [
@@ -754,10 +763,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.check_flow:
         exact = run_sweep(
-            _flow_grid(False), jobs=jobs, label="flow-gate-exact", cache=cache
+            _flow_grid(False), jobs=jobs, label="flow-gate-exact", record=True, cache=cache
         )
         flowed = run_sweep(
-            _flow_grid(True), jobs=jobs, label="flow-gate-flow", cache=cache
+            _flow_grid(True), jobs=jobs, label="flow-gate-flow", record=True, cache=cache
         )
         worst = 0.0
         bad = []
@@ -781,10 +790,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.check_fastforward:
         reference = run_sweep(
-            _ff_grid(False), jobs=jobs, label="ff-gate-reference", cache=cache
+            _ff_grid(False), jobs=jobs, label="ff-gate-reference", record=True,
+            cache=cache,
         )
         fast = run_sweep(
-            _ff_grid(True), jobs=jobs, label="ff-gate-fast", cache=cache
+            _ff_grid(True), jobs=jobs, label="ff-gate-fast", record=True, cache=cache
         )
         worst = 0.0
         bad = []
@@ -806,7 +816,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.check_buffer:
         direct, fits, limited = run_sweep(
-            _buffer_grid(), jobs=jobs, label="buffer-crossover", cache=cache
+            _buffer_grid(), jobs=jobs, label="buffer-crossover", record=True,
+            cache=cache,
         )
         speedup = fits.value / direct.value if direct.value else 0.0
         fs = fits.buffer_summary or {}
@@ -833,15 +844,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.check_shard:
         single = run_sweep(
-            _shard_grid(1), jobs=jobs, label="shard-gate-single", cache=cache
+            _shard_grid(1), jobs=jobs, label="shard-gate-single", record=True,
+            cache=cache,
         )
         sharded = run_sweep(
-            _shard_grid(2), jobs=jobs, label="shard-gate-sharded", cache=cache
+            _shard_grid(2), jobs=jobs, label="shard-gate-sharded", record=True,
+            cache=cache,
         )
         # Sharded runs must also be reproducible run-over-run: the window
         # schedule is deterministic and the barrier carries no state.
         repeat = run_sweep(
-            _shard_grid(2), jobs=jobs, label="shard-gate-repeat", cache=False
+            _shard_grid(2), jobs=jobs, label="shard-gate-repeat", record=True,
+            cache=False,
         )
         rel = (
             abs(sharded[0].value - single[0].value) / single[0].value
@@ -866,7 +880,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     if args.check_determinism:
-        serial = run_sweep(specs, jobs=1, label="quick(jobs=1)", cache=False)
+        serial = run_sweep(specs, jobs=1, label="quick(jobs=1)", record=True, cache=False)
         mismatches = [
             (o.spec.key(), o.value, s.value)
             for o, s in zip(outcomes, serial)

@@ -12,7 +12,6 @@ the figure-of-merit the paper uses:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
@@ -78,50 +77,6 @@ class TrialResult:
     #: Plain JSON-ready dict, so it crosses the sweep executor's
     #: process-pool boundary and lands in the trial cache.
     metrics: Optional[dict] = None
-
-
-#: Legacy boolean kwargs already warned about (each warns exactly once).
-_LEGACY_WARNED: set = set()
-
-
-def _warn_legacy(name: str) -> None:
-    if name in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(name)
-    warnings.warn(
-        f"the `{name}` kwarg is deprecated; pass options=RunOptions({name}=...) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def _merge_options(
-    options: Optional[RunOptions],
-    trace=None,
-    collapse=None,
-    flow=None,
-    faults=None,
-    tiers=None,
-) -> RunOptions:
-    """Fold legacy kwargs into a resolved :class:`RunOptions`.
-
-    Legacy booleans still work (warning once per kwarg name) and take
-    explicit-kwarg precedence, matching the documented resolution order.
-    """
-    legacy = {}
-    for name, value in (("trace", trace), ("collapse", collapse), ("flow", flow)):
-        if value is not None:
-            _warn_legacy(name)
-            legacy[name] = bool(value)
-    if faults is not None:
-        legacy["faults"] = faults
-    if tiers is not None:
-        _warn_legacy("tiers")
-        legacy["tiers"] = tiers
-    opts = options if options is not None else RunOptions()
-    if legacy:
-        opts = replace(opts, **legacy)
-    return opts.resolved()
 
 
 @dataclass
@@ -206,9 +161,7 @@ def _build(
     opts = opts if opts is not None else RunOptions().resolved()
     spec = spec or dev_cluster()
     config = config or SimConfig()
-    config = replace(config, seed=seed)
-    if opts.flow:
-        config = replace(config, flow=True)
+    config = replace(config, seed=seed, flow=opts.flow)
     cluster = SimCluster(
         spec,
         config,
@@ -253,10 +206,6 @@ def run_checkpoint_trial(
     seed: int = 0,
     spec: Optional[MachineSpec] = None,
     config: Optional[SimConfig] = None,
-    trace: Optional[bool] = None,
-    collapse: Optional[bool] = None,
-    flow: Optional[bool] = None,
-    tiers=None,
     options: Optional[RunOptions] = None,
     **deploy_kwargs,
 ) -> TrialResult:
@@ -264,12 +213,10 @@ def run_checkpoint_trial(
 
     Run configuration comes in through ``options=RunOptions(...)``; see
     :class:`~repro.sim.config.RunOptions` for the knobs and the
-    kwarg > ``REPRO_*`` env > default resolution order.  The legacy
-    ``trace``/``collapse``/``flow`` booleans still work (deprecated,
-    warning once per kwarg).
+    explicit value > ``REPRO_*`` env > default resolution order.
 
-    With ``RunOptions(trace=True)`` a :class:`~repro.trace.Tracer` is
-    installed before the run and the completed spans land on
+    With ``trace=True`` a :class:`~repro.trace.Tracer` is installed
+    before the run and the completed spans land on
     ``TrialResult.trace`` — tracing never schedules events, so simulated
     timings are bit-identical either way.  ``collapse=True`` simulates
     one representative per symmetric client class
@@ -283,7 +230,7 @@ def run_checkpoint_trial(
     dump lands at absorb speed and drains asynchronously; the drain
     tail, goodput, and backpressure land in ``TrialResult.extra``.
     """
-    opts = _merge_options(options, trace=trace, collapse=collapse, flow=flow, tiers=tiers)
+    opts = (options or RunOptions()).resolved()
     if opts.shards > 1:
         from .shard import run_sharded_checkpoint_trial
 
@@ -346,19 +293,15 @@ def run_create_trial(
     seed: int = 0,
     spec: Optional[MachineSpec] = None,
     config: Optional[SimConfig] = None,
-    trace: Optional[bool] = None,
-    collapse: Optional[bool] = None,
-    flow: Optional[bool] = None,
-    tiers=None,
     options: Optional[RunOptions] = None,
     **deploy_kwargs,
 ) -> TrialResult:
     """Create-only phase (Figure 10 workload): empty objects/files.
 
-    Accepts the same ``options=RunOptions(...)`` configuration (and the
-    same deprecated legacy booleans) as :func:`run_checkpoint_trial`.
+    Accepts the same ``options=RunOptions(...)`` configuration as
+    :func:`run_checkpoint_trial`.
     """
-    opts = _merge_options(options, trace=trace, collapse=collapse, flow=flow, tiers=tiers)
+    opts = (options or RunOptions()).resolved()
     if opts.shards > 1:
         from .shard import run_sharded_create_trial
 

@@ -32,7 +32,7 @@ runs produce bit-identical merged results — with or without a usable
 ``fork``, since the barrier exchanges no simulation state.
 
 Sharding is requested with ``RunOptions(shards=N)`` / ``--shards N`` /
-``REPRO_SHARD=N``; ``REPRO_SHARD=0`` is the kill switch.  Runs that
+``REPRO_SHARD=N`` (``0`` and ``1`` mean single-process).  Runs that
 need a global timeline (fault plans, tracing, ``lustre-shared``'s
 all-to-all striping) fall back to single-process execution with a
 one-time warning.

@@ -39,6 +39,7 @@ from .bench import (
     run_create_trial,
 )
 from .bench.plot import chart_sweep
+from .sim.config import RunOptions
 from .units import MiB
 
 __all__ = ["main", "build_parser"]
@@ -68,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(weighted resources; far fewer processes)")
     point.add_argument("--flow", action="store_true",
                        help="flow-level bulk transfers: fluid fair-share streams for "
-                            "the steady-state middle of each dump (REPRO_FLOW=0 "
-                            "overrides back to the exact chunked path)")
+                            "the steady-state middle of each dump (also "
+                            "REPRO_FLOW=1)")
     point.add_argument("--faults", default=None, metavar="PLAN.json",
                        help="inject the faults scheduled in this JSON plan "
                             "(see repro.faults; also REPRO_FAULTS=PLAN.json) "
@@ -82,15 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--fast-forward", dest="fastforward", default=None,
                        action="store_true",
                        help="analytic steady-state fast-forward for flow-mode "
-                            "transfers (the default; REPRO_FASTFORWARD=0 "
-                            "kills it globally)")
+                            "transfers (the default; also "
+                            "REPRO_FASTFORWARD=1)")
     point.add_argument("--no-fast-forward", dest="fastforward",
                        action="store_false",
                        help="force the reference per-event flow arithmetic")
     point.add_argument("--shards", type=int, default=None, metavar="N",
                        help="split this one run into N server-group shards "
                             "simulated by parallel worker processes "
-                            "(also REPRO_SHARD=N; REPRO_SHARD=0 kills)")
+                            "(also REPRO_SHARD=N)")
     point.add_argument("--metrics", nargs="?", const="-", default=None,
                        metavar="EXPORT.json",
                        help="sample time-series metrics during the run and "
@@ -272,8 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_rows("Table 2 — Red Storm performance (paper vs measured)", rows))
 
     elif args.command == "checkpoint":
-        from .sim.config import RunOptions
-
         options = RunOptions(
             trace=True if args.trace is not None else None,
             collapse=True if args.collapse else None,
@@ -334,8 +333,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             _export_trace(result, args.trace)
 
     elif args.command == "create":
-        from .sim.config import RunOptions
-
         result = run_create_trial(
             args.impl, args.clients, args.servers,
             creates_per_client=args.per_client, seed=args.seed,
@@ -366,7 +363,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.trace is not None:
             result = run_checkpoint_trial(
                 args.impl, max(args.clients), max(args.servers),
-                state_bytes=args.state_mb * MiB, seed=1, trace=True,
+                state_bytes=args.state_mb * MiB, seed=1,
+                options=RunOptions(trace=True),
             )
             _export_trace(result, args.trace)
 
@@ -388,7 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         result = run_checkpoint_trial(
             args.impl, args.clients, args.servers,
-            state_bytes=args.state_mb * MiB, seed=args.seed, trace=True,
+            state_bytes=args.state_mb * MiB, seed=args.seed,
+            options=RunOptions(trace=True),
         )
         print(
             f"{args.impl}: {args.clients} clients x {args.state_mb} MB over "
@@ -407,7 +406,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(format_timeline(result.trace, max_lines=args.timeline_lines))
 
     elif args.command == "traffic":
-        from .sim.config import RunOptions
         from .workload import diurnal_mixed, run_workload_trial
 
         if args.workload is not None:

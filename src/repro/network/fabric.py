@@ -14,7 +14,6 @@ which is how failure-injection experiments observe lost servers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -30,9 +29,9 @@ __all__ = ["Message", "Fabric", "FASTPATH"]
 #: fast path: the pipe slots are claimed and released without any of the
 #: queued path's request/release event-loop turns, leaving only the two
 #: timing events (serialization, wire latency).  Simulated timestamps are
-#: bit-identical to the queued path.  Set ``REPRO_FABRIC_FASTPATH=0`` to
-#: force the reference queued path (used by the equivalence tests).
-FASTPATH = os.environ.get("REPRO_FABRIC_FASTPATH", "1") != "0"
+#: bit-identical to the queued path.  The equivalence tests patch this
+#: constant to ``False`` to force the reference queued path.
+FASTPATH = True
 
 
 @dataclass
@@ -72,10 +71,6 @@ class Fabric:
         self._n_nodes_hint = n_nodes_hint
         self.counters = Counter()
         self._flow_network = None
-        #: Per-fabric override of the module-level FASTPATH switch, so a
-        #: :class:`~repro.sim.config.RunOptions` can pick the reference
-        #: queued path for one run.  The env kill switch still wins.
-        self.fastpath = FASTPATH
 
     @property
     def flows(self):
@@ -248,7 +243,7 @@ class Fabric:
                     )
                 return msg
 
-            tx_tok = tx_pipe._slot.try_acquire() if self.fastpath else None
+            tx_tok = tx_pipe._slot.try_acquire() if FASTPATH else None
             rx_tok = None
             if tx_tok is not None:
                 rx_tok = rx_pipe._slot.try_acquire()

@@ -16,7 +16,6 @@ from ..errors import TransactionAborted
 from ..lwfs.capabilities import Capability, OpMask
 from ..lwfs.ids import ContainerID, ObjectID, TxnID
 from ..machine.node import Node
-from ..network.flow import flow_enabled
 from ..network.portals import MemoryDescriptor, install_portals
 from ..network.rpc import RpcClient
 from ..simkernel import Resource
@@ -163,7 +162,7 @@ class SimLWFSClient:
         total = piece_len(data)
         chunk = self.config.chunk_bytes
         if (
-            flow_enabled(self.config.flow)
+            self.config.flow
             and self.deployment.server_directed
             and total > 2 * chunk
         ):

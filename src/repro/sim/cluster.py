@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 from ..machine.node import Node
 from ..machine.spec import MachineSpec, NodeKind
 from ..simkernel import Environment, RandomStreams
-from ..network.fabric import FASTPATH, Fabric
+from ..network.fabric import Fabric
 from ..storage.device import RaidDevice
 from .config import RunOptions, SimConfig
 
@@ -41,17 +41,9 @@ class SimCluster:
         self.spec = spec
         self.config = config or SimConfig()
         self.options = options
-        if options is None:
-            self.env = Environment()
-        else:
-            # Kill switches still win: lazy_kernel=False forces the
-            # reference path, while lazy_kernel=True defers to the
-            # kernel's *live* LAZY global (REPRO_KERNEL_LAZY kill
-            # switch; also patched by the kernel perf benchmarks) —
-            # importing LAZY here would freeze a stale snapshot.
-            self.env = Environment(lazy=None if options.lazy_kernel else False)
-            if options.fastforward is not None:
-                self.env.fastforward = bool(options.fastforward)
+        self.env = Environment()
+        if options is not None:
+            self.env.fastforward = options.fastforward
         self.rng = RandomStreams(self.config.seed)
 
         n_service = service_nodes if service_nodes is not None else spec.service_nodes
@@ -65,8 +57,6 @@ class SimCluster:
             hop_latency=spec.hop_latency,
             n_nodes_hint=total,
         )
-        if options is not None:
-            self.fabric.fastpath = bool(options.fastpath) and FASTPATH
 
         self.service_nodes: List[Node] = []
         self.io_nodes: List[Node] = []

@@ -6,20 +6,17 @@ creates around 0.2 ms at the owning server, Lustre-like MDS creates around
 1.3 ms serialized at one node, and 4 MiB bulk chunks.
 
 This module is also the single source of truth for *run configuration*:
-:class:`RunOptions` unifies the knobs that used to be scattered across
-harness kwargs, CLI flags, and ``REPRO_*`` environment variables, with
-one documented resolution order per knob:
+:class:`RunOptions` holds every knob a trial accepts, and
+:meth:`RunOptions.resolved` is the only code that reads a run knob from
+the environment or decides which setting wins.  One rule covers every
+knob:
 
-1. an explicit value (``RunOptions(flow=True)`` or a legacy kwarg),
+1. an explicit value (``RunOptions(flow=True)``),
 2. the corresponding ``REPRO_*`` environment variable,
 3. the built-in default.
 
-Exception — kill switches: ``REPRO_FABRIC_FASTPATH=0``,
-``REPRO_KERNEL_LAZY=0`` and ``REPRO_FLOW=0`` remain absolute overrides
-(they force the bit-identical reference paths for equivalence tests) and
-are read at their point of use, because :mod:`repro.simkernel` and
-:mod:`repro.network` cannot import this module without a cycle.  Every
-other ``REPRO_*`` read routes through :func:`env_str` here.
+Everything downstream of a trial entry point receives plain resolved
+values.  Every ``REPRO_*`` read routes through :func:`env_str` here.
 """
 
 from __future__ import annotations
@@ -36,9 +33,8 @@ __all__ = ["LWFSCosts", "PFSCosts", "RunOptions", "SimConfig", "env_str"]
 def env_str(name: str, default: str = "") -> str:
     """The single gateway for ``REPRO_*`` environment reads.
 
-    Keeping every non-kill-switch read behind this function makes the
-    resolution order auditable: grep for ``os.environ`` finds only this
-    site and the documented kill switches.
+    Keeping every read behind this function makes the resolution order
+    auditable: grep for ``os.environ`` finds only this site.
     """
     return os.environ.get(name, default)
 
@@ -60,6 +56,21 @@ def _env_int(name: str) -> Optional[int]:
         return int(raw)
     except ValueError:
         return None
+
+
+def _load_spec(value, env_name: str, module: str, loader: str):
+    """A spec-valued knob: explicit value > ``REPRO_*`` JSON path > None.
+
+    A string (explicit or from the environment) is a JSON path loaded by
+    *loader* in *module*, imported lazily to keep this module cycle-free.
+    """
+    if value is None:
+        value = env_str(env_name).strip() or None
+    if isinstance(value, str):
+        from importlib import import_module
+
+        value = getattr(import_module(module, __package__), loader)(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -129,8 +140,7 @@ class SimConfig:
     cost_jitter: float = 0.03  # relative sigma on service times
     #: Opt-in flow-level data path (repro.network.flow): the steady-state
     #: middle of a bulk write rides a fluid fair-share stream instead of
-    #: per-chunk RPCs.  ``REPRO_FLOW=0`` force-disables (reference path),
-    #: ``REPRO_FLOW=1`` force-enables.
+    #: per-chunk RPCs.  Trial entry points set it from ``RunOptions.flow``.
     flow: bool = False
     #: Fraction of each *service* node's capacity (CPU and journal
     #: device) available to this simulation.  Sharded runs
@@ -166,40 +176,30 @@ class RunOptions:
     """Typed run configuration: every knob a trial accepts, in one place.
 
     ``None`` means "unset": :meth:`resolved` fills it from the matching
-    ``REPRO_*`` environment variable, then the default.  Explicit values
-    always win (except the documented kill switches, which force the
-    reference paths regardless).
+    ``REPRO_*`` environment variable, then the default.  An explicit
+    value always wins; no environment variable overrides one.
 
-    ============== ======================== =======
-    field          environment variable     default
-    ============== ======================== =======
-    collapse       ``REPRO_COLLAPSE``       False
-    flow           ``REPRO_FLOW``           False
-    trace          ``REPRO_TRACE``          False
-    fastpath       ``REPRO_FABRIC_FASTPATH`` True
-    lazy_kernel    ``REPRO_KERNEL_LAZY``    True
-    cache          ``REPRO_BENCH_CACHE``    True
-    fastforward    ``REPRO_FASTFORWARD``    True
-    metrics        ``REPRO_METRICS``        False
-    tenant_collapse ``REPRO_TENANT_COLLAPSE`` True
-    metrics_period ``REPRO_METRICS_PERIOD`` None (auto)
-    shards         ``REPRO_SHARD`` (int)    1
-    faults         ``REPRO_FAULTS`` (path)  None
-    workload       ``REPRO_WORKLOAD`` (path) None
-    tiers          ``REPRO_TIERS`` (path)   None
-    ============== ======================== =======
-
-    ``shards`` follows the kill-switch convention of the boolean
-    accelerators: ``REPRO_SHARD=0`` forces single-process execution even
-    over an explicit ``shards=N``, so equivalence tests can pin the
-    reference path from the outside.
+    =============== ========================== =======
+    field           environment variable       default
+    =============== ========================== =======
+    collapse        ``REPRO_COLLAPSE``         False
+    flow            ``REPRO_FLOW``             False
+    trace           ``REPRO_TRACE``            False
+    cache           ``REPRO_BENCH_CACHE``      True
+    fastforward     ``REPRO_FASTFORWARD``      True
+    metrics         ``REPRO_METRICS``          False
+    tenant_collapse ``REPRO_TENANT_COLLAPSE``  True
+    metrics_period  ``REPRO_METRICS_PERIOD``   None (auto)
+    shards          ``REPRO_SHARD`` (int)      1
+    faults          ``REPRO_FAULTS`` (path)    None
+    workload        ``REPRO_WORKLOAD`` (path)  None
+    tiers           ``REPRO_TIERS`` (path)     None
+    =============== ========================== =======
     """
 
     collapse: Optional[bool] = None
     flow: Optional[bool] = None
     trace: Optional[bool] = None
-    fastpath: Optional[bool] = None
-    lazy_kernel: Optional[bool] = None
     cache: Optional[bool] = None
     #: Analytic steady-state fast-forward in the flow engine
     #: (:mod:`repro.network.flow`); only observable on flow-mode runs.
@@ -210,9 +210,9 @@ class RunOptions:
     metrics: Optional[bool] = None
     #: Tenant-class collapsing in the open-loop workload engine
     #: (:mod:`repro.workload`): simulate one representative per tenant
-    #: block with a multiplicity weight.  ``REPRO_TENANT_COLLAPSE=0`` is
-    #: the kill switch that pins the uncollapsed reference population
-    #: (bit-identical when every multiplicity is already 1).
+    #: block with a multiplicity weight.  ``False`` pins the uncollapsed
+    #: reference population (bit-identical when every multiplicity is
+    #: already 1).
     tenant_collapse: Optional[bool] = None
     #: Explicit sampling period in simulated seconds; ``None`` derives a
     #: deterministic period from the analytic horizon
@@ -222,29 +222,26 @@ class RunOptions:
     #: Worker-process count for sharded simulation of one big run
     #: (:mod:`repro.bench.shard`); ``1`` (or ``0``) means single-process.
     shards: Optional[int] = None
-    #: A :class:`repro.faults.FaultPlan` (or ``None`` for a clean run).
+    #: A :class:`repro.faults.FaultPlan` (or a JSON path, or ``None`` for
+    #: a clean run).  A string resolves through
+    #: :func:`repro.faults.load_plan` and :meth:`describe` folds the
+    #: plan's content signature into the trial-cache key.
     faults: Optional[object] = None
     #: A :class:`repro.workload.WorkloadSpec` (or a JSON path, or ``None``
     #: when the trial is not an open-loop traffic run).  Follows the
-    #: ``faults`` pattern: a string resolves through
-    #: :func:`repro.workload.load_workload` and :meth:`describe` folds the
-    #: spec's content signature into the trial-cache key.
+    #: ``faults`` pattern through :func:`repro.workload.load_workload`.
     workload: Optional[object] = None
     #: A :class:`repro.storage.buffer.TierSpec` (or a JSON path, or
     #: ``None`` for the direct-to-OST path).  Follows the ``faults``
-    #: pattern: a string resolves through
-    #: :func:`repro.storage.buffer.load_tiers` and :meth:`describe` folds
-    #: the spec's content signature into the trial-cache key.  A spec
-    #: with ``mode: passthrough`` is kept but never interposes — the
-    #: kill-switch state that is bit-identical to ``tiers=None``.
+    #: pattern through :func:`repro.storage.buffer.load_tiers`.  A spec
+    #: with ``mode: passthrough`` is kept but never interposes, and is
+    #: bit-identical to ``tiers=None``.
     tiers: Optional[object] = None
 
     _ENV = {
         "collapse": "REPRO_COLLAPSE",
         "flow": "REPRO_FLOW",
         "trace": "REPRO_TRACE",
-        "fastpath": "REPRO_FABRIC_FASTPATH",
-        "lazy_kernel": "REPRO_KERNEL_LAZY",
         "cache": "REPRO_BENCH_CACHE",
         "fastforward": "REPRO_FASTFORWARD",
         "metrics": "REPRO_METRICS",
@@ -254,8 +251,6 @@ class RunOptions:
         "collapse": False,
         "flow": False,
         "trace": False,
-        "fastpath": True,
-        "lazy_kernel": True,
         "cache": True,
         "fastforward": True,
         "metrics": False,
@@ -263,7 +258,7 @@ class RunOptions:
     }
 
     def resolved(self) -> "RunOptions":
-        """Every field concrete: explicit kwarg > ``REPRO_*`` env > default."""
+        """Every field concrete: explicit value > ``REPRO_*`` env > default."""
         values = {}
         for name, env_name in self._ENV.items():
             explicit = getattr(self, name)
@@ -282,52 +277,16 @@ class RunOptions:
                     period = None
         if period is not None and period <= 0:
             period = None  # nonsense cadence -> auto
-        raw_shard = env_str("REPRO_SHARD").strip()
-        if raw_shard == "0":
-            shards = 1  # kill switch: beats even an explicit shards=N
-        elif self.shards is not None:
-            shards = max(1, int(self.shards))
-        else:
-            from_env = _env_int("REPRO_SHARD")
-            shards = 1 if from_env is None else max(1, from_env)
-        faults = self.faults
-        if faults is None:
-            path = env_str("REPRO_FAULTS").strip()
-            if path:
-                from ..faults.plan import load_plan
-
-                faults = load_plan(path)
-        elif isinstance(faults, str):
-            from ..faults.plan import load_plan
-
-            faults = load_plan(faults)
-        workload = self.workload
-        if workload is None:
-            wl_path = env_str("REPRO_WORKLOAD").strip()
-            if wl_path:
-                from ..workload.spec import load_workload
-
-                workload = load_workload(wl_path)
-        elif isinstance(workload, str):
-            from ..workload.spec import load_workload
-
-            workload = load_workload(workload)
-        tiers = self.tiers
-        if tiers is None:
-            tier_path = env_str("REPRO_TIERS").strip()
-            if tier_path:
-                from ..storage.buffer.tier import load_tiers
-
-                tiers = load_tiers(tier_path)
-        elif isinstance(tiers, str):
-            from ..storage.buffer.tier import load_tiers
-
-            tiers = load_tiers(tiers)
+        shards = self.shards if self.shards is not None else _env_int("REPRO_SHARD")
         return RunOptions(
-            faults=faults,
-            workload=workload,
-            tiers=tiers,
-            shards=shards,
+            faults=_load_spec(self.faults, "REPRO_FAULTS", "..faults.plan", "load_plan"),
+            workload=_load_spec(
+                self.workload, "REPRO_WORKLOAD", "..workload.spec", "load_workload"
+            ),
+            tiers=_load_spec(
+                self.tiers, "REPRO_TIERS", "..storage.buffer.tier", "load_tiers"
+            ),
+            shards=1 if shards is None else max(1, int(shards)),
             metrics_period=period,
             **values,
         )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Generator, Iterable, Optional
 
@@ -17,11 +16,12 @@ __all__ = ["Environment", "EmptySchedule", "StopSimulation", "LAZY"]
 #: (batched same-timestamp scheduling), cancelled :class:`Timeout` objects
 #: are recycled through a free list, and the heap is compacted once
 #: tombstoned entries dominate it.  Simulated timestamps are bit-identical
-#: to the reference path.  Set ``REPRO_KERNEL_LAZY=0`` to force the
-#: plain-heap reference path (used by the equivalence tests).  Cancelled
-#: events are skipped at pop in *both* modes — cancellation is semantics,
-#: not an optimization, so its behavior cannot depend on the flag.
-LAZY = os.environ.get("REPRO_KERNEL_LAZY", "1") != "0"
+#: to the reference path.  The equivalence tests select the plain-heap
+#: reference path by patching this constant or by passing
+#: ``Environment(lazy=False)``.  Cancelled events are skipped at pop in
+#: *both* modes — cancellation is semantics, not an optimization, so its
+#: behavior cannot depend on the flag.
+LAZY = True
 
 #: Retired Timeout objects kept for reuse per environment.
 _POOL_MAX = 1024
@@ -85,8 +85,8 @@ class Environment:
         #: when driven as one shard of a multiprocess run
         #: (:mod:`repro.bench.shard`); 0 in single-process runs.
         self.window_barriers: int = 0
-        #: Analytic steady-state fast-forward opt-in (the
-        #: ``REPRO_FASTFORWARD`` kill switch still wins at point of use).
+        #: Analytic steady-state fast-forward opt-in, set from the
+        #: resolved ``RunOptions.fastforward`` (:mod:`repro.network.flow`).
         self.fastforward: bool = True
         self._peak_queue: int = 0
         #: Optional :class:`repro.trace.Tracer`; ``None`` keeps every

@@ -53,11 +53,7 @@ def _trial(tiers=None, faults=None, collapse=False, flow=False, seed=7,
     from ...sim.config import RunOptions
     from ...units import MiB
 
-    opts = RunOptions(
-        tiers=tiers, faults=faults,
-        collapse=True if collapse else None,
-        flow=True if flow else None,
-    )
+    opts = RunOptions(tiers=tiers, faults=faults, collapse=collapse, flow=flow)
     return run_checkpoint_trial(
         "lwfs", n_clients, n_servers, state_bytes=state_mb * MiB,
         seed=seed, options=opts,

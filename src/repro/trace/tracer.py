@@ -12,7 +12,7 @@ simulation the un-traced run executes (bit-identical clocks).
 Zero overhead when disabled
 ---------------------------
 ``Environment.tracer`` is ``None`` by default.  Every instrumentation
-site follows the guard pattern (mirroring ``REPRO_FABRIC_FASTPATH``)::
+site follows the guard pattern (mirroring the fabric's ``FASTPATH`` switch)::
 
     tracer = env.tracer
     if tracer is not None:

@@ -10,7 +10,7 @@ open-loop traffic engine documents:
 2. **Determinism** — the same seeded collapsed trial run twice is
    bit-identical on every reported statistic.
 3. **Kill switch** — with every class multiplicity forced to 1,
-   ``REPRO_TENANT_COLLAPSE=0`` (here: ``tenant_collapse=False``) and
+   ``tenant_collapse=False`` (also ``REPRO_TENANT_COLLAPSE=0``) and
    the collapsed path produce *exactly* equal results: collapsing is
    pure mechanism, not a different workload.
 4. **Collapse accuracy** — at class sizes of 10^3 (multiplicity up to

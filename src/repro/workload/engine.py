@@ -513,7 +513,7 @@ def run_workload_trial(
 
     from ..bench.harness import TrialResult, _kernel_stats
 
-    opts = (options if options is not None else RunOptions()).resolved()
+    opts = (options or RunOptions()).resolved()
     if workload is None:
         workload = opts.workload
     if workload is None:

@@ -6,11 +6,11 @@ import os
 from repro.bench.cache import (
     CACHE_SCHEMA,
     TrialCache,
-    cache_enabled,
     default_cache_dir,
     trial_key,
 )
 from repro.bench.executor import checkpoint_spec, create_spec, run_trials
+from repro.sim.config import RunOptions
 from repro.units import MiB
 
 
@@ -40,21 +40,42 @@ class TestTrialKey:
         assert trial_key(base) not in keys
         assert len(keys) == len(variants)
 
-    def test_sensitive_to_fastpath_switches(self, monkeypatch):
+    def test_keyed_on_resolved_options(self, monkeypatch):
         spec = _specs()[0]
         base = trial_key(spec)
+        # Options enter the key only in resolved form: an explicit
+        # default and an unset knob share a cache line ...
+        explicit = checkpoint_spec(
+            "lwfs", 2, 2, seed=100, state_bytes=2 * MiB,
+            options=RunOptions(flow=False, shards=1),
+        )
+        assert trial_key(explicit) == base
+        # ... as do an explicit value and the REPRO_* variable it mirrors.
+        flowed = checkpoint_spec(
+            "lwfs", 2, 2, seed=100, state_bytes=2 * MiB,
+            options=RunOptions(flow=True),
+        )
+        monkeypatch.setenv("REPRO_FLOW", "1")
+        assert trial_key(spec) == trial_key(flowed) != base
+        monkeypatch.delenv("REPRO_FLOW")
+        # Names that are not run knobs never reach the key.
         monkeypatch.setenv("REPRO_KERNEL_LAZY", "0")
-        assert trial_key(spec) != base
-        monkeypatch.delenv("REPRO_KERNEL_LAZY")
         monkeypatch.setenv("REPRO_FABRIC_FASTPATH", "0")
-        assert trial_key(spec) != base
+        assert trial_key(spec) == base
 
 
 class TestEnvKnobs:
     def test_cache_enabled_env(self, monkeypatch):
-        assert cache_enabled()
+        spec = _specs()[0]
+        assert TrialCache.cacheable(spec)
         monkeypatch.setenv("REPRO_BENCH_CACHE", "0")
-        assert not cache_enabled()
+        assert not TrialCache.cacheable(spec)
+        # An explicit value beats the environment.
+        pinned = checkpoint_spec(
+            "lwfs", 2, 2, seed=100, state_bytes=2 * MiB,
+            options=RunOptions(cache=True),
+        )
+        assert TrialCache.cacheable(pinned)
 
     def test_cache_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(tmp_path))
@@ -101,7 +122,9 @@ class TestRunTrialsCaching:
 
     def test_traced_trials_never_cached(self, tmp_path):
         store = TrialCache(root=str(tmp_path))
-        spec = checkpoint_spec("lwfs", 2, 2, seed=100, state_bytes=2 * MiB, trace=True)
+        spec = checkpoint_spec(
+            "lwfs", 2, 2, seed=100, state_bytes=2 * MiB, options=RunOptions(trace=True)
+        )
         first = run_trials([spec], jobs=1, cache=store)
         second = run_trials([spec], jobs=1, cache=store)
         assert not first[0].cached and not second[0].cached

@@ -16,6 +16,7 @@ import pytest
 from repro.bench import run_checkpoint_trial, run_create_trial
 from repro.machine import red_storm
 from repro.sim import SimConfig
+from repro.sim.config import RunOptions
 from repro.units import MiB
 
 IMPLS = ("lwfs", "lustre-fpp", "lustre-shared")
@@ -23,7 +24,9 @@ IMPLS = ("lwfs", "lustre-fpp", "lustre-shared")
 
 def _pair(impl, n, m, collapse_only=False, **kw):
     exact = run_checkpoint_trial(impl, n, m, seed=7, **kw)
-    coll = run_checkpoint_trial(impl, n, m, seed=7, collapse=True, **kw)
+    coll = run_checkpoint_trial(
+        impl, n, m, seed=7, options=RunOptions(collapse=True), **kw
+    )
     return exact, coll
 
 
@@ -76,7 +79,8 @@ class TestCollapsedApproximation:
     def test_create_trial_collapse(self):
         exact = run_create_trial("lwfs", 8, 4, seed=7, creates_per_client=8)
         coll = run_create_trial(
-            "lwfs", 8, 4, seed=7, creates_per_client=8, collapse=True
+            "lwfs", 8, 4, seed=7, creates_per_client=8,
+            options=RunOptions(collapse=True),
         )
         assert coll.extra["max_multiplicity"] > 1
         assert coll.extra["ranks_simulated"] < 8

@@ -120,8 +120,8 @@ class TestRecording:
         assert sweep_json_path() == str(path)
 
         specs = [checkpoint_spec("lwfs", 2, 2, seed=100, state_bytes=SIZE)]
-        run_sweep(specs, jobs=1, label="unit-a")
-        run_sweep(specs, jobs=1, label="unit-b")
+        run_sweep(specs, jobs=1, label="unit-a", record=True)
+        run_sweep(specs, jobs=1, label="unit-b", record=True)
 
         doc = json.loads(path.read_text())
         assert doc["schema"] == SWEEP_SCHEMA
@@ -140,7 +140,7 @@ class TestRecording:
         path.write_text("{not json")
         monkeypatch.setenv("REPRO_BENCH_SWEEP_JSON", str(path))
         specs = [create_spec("lwfs", 2, 2, seed=200, creates_per_client=8)]
-        run_sweep(specs, jobs=1, label="recover")
+        run_sweep(specs, jobs=1, label="recover", record=True)
         doc = json.loads(path.read_text())
         assert [s["label"] for s in doc["sweeps"]] == ["recover"]
 

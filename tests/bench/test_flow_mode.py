@@ -4,8 +4,8 @@ Contract under test:
 
 * ``flow=False`` (the default) never touches the flow engine — no flow
   counters, identical figures to a run made before the engine existed;
-* ``REPRO_FLOW=0`` is a kill switch: ``flow=True`` under it is
-  bit-identical to ``flow=False``;
+* ``REPRO_FLOW`` only fills an unset flag: an explicit ``flow=`` (and
+  ``fastforward=``) beats the environment either way;
 * ``flow=True`` approximates the exact run within 1% on the bulk-bound
   workloads it targets, while processing far fewer kernel events;
 * flow trials advertise themselves (``flows_active``,
@@ -18,6 +18,7 @@ import pytest
 
 from repro.bench import run_checkpoint_trial
 from repro.machine import red_storm
+from repro.sim.config import RunOptions
 from repro.units import MiB
 
 #: Bulky enough that every rank's dump rides the stream path (> 2 chunks).
@@ -29,7 +30,7 @@ FLOW_IMPLS = ("lwfs", "lustre-fpp")
 def _pair(impl, n, m, **kw):
     exact = run_checkpoint_trial(impl, n, m, seed=3, state_bytes=STATE, **kw)
     flow = run_checkpoint_trial(
-        impl, n, m, seed=3, state_bytes=STATE, flow=True, **kw
+        impl, n, m, seed=3, state_bytes=STATE, options=RunOptions(flow=True), **kw
     )
     return exact, flow
 
@@ -40,17 +41,31 @@ class TestOffPathUntouched:
         assert "flows_active" not in exact.extra
         assert "rate_recomputes" not in exact.extra
 
-    def test_repro_flow_zero_kills_the_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW", "0")
-        off = run_checkpoint_trial("lwfs", 4, 2, seed=3, state_bytes=STATE)
-        killed = run_checkpoint_trial(
-            "lwfs", 4, 2, seed=3, state_bytes=STATE, flow=True
+    def test_explicit_flow_beats_repro_flow(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FLOW", "1")
+        off = run_checkpoint_trial(
+            "lwfs", 4, 2, seed=3, state_bytes=STATE, options=RunOptions(flow=False)
         )
-        assert killed.max_elapsed == off.max_elapsed
-        assert killed.mean_elapsed == off.mean_elapsed
-        assert killed.throughput_mb_s == off.throughput_mb_s
-        assert killed.extra["events_processed"] == off.extra["events_processed"]
-        assert "flows_active" not in killed.extra
+        assert "flows_active" not in off.extra
+        monkeypatch.setenv("REPRO_FLOW", "0")
+        on = run_checkpoint_trial(
+            "lwfs", 4, 2, seed=3, state_bytes=STATE, options=RunOptions(flow=True)
+        )
+        assert on.extra.get("flows_active", 0) > 0
+
+    def test_explicit_fastforward_beats_repro_fastforward(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FASTFORWARD", "1")
+        off = run_checkpoint_trial(
+            "lwfs", 8, 4, seed=3, state_bytes=STATE,
+            options=RunOptions(flow=True, fastforward=False),
+        )
+        assert off.extra.get("events_fast_forwarded", 0) == 0
+        monkeypatch.setenv("REPRO_FASTFORWARD", "0")
+        on = run_checkpoint_trial(
+            "lwfs", 8, 4, seed=3, state_bytes=STATE,
+            options=RunOptions(flow=True, fastforward=True),
+        )
+        assert on.extra["events_fast_forwarded"] > 0
 
     def test_repro_flow_one_forces_the_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLOW", "1")
@@ -83,10 +98,12 @@ class TestFlowApproximation:
     def test_composes_with_collapsing(self):
         kw = dict(spec=red_storm())
         coll = run_checkpoint_trial(
-            "lwfs", 64, 16, seed=3, state_bytes=STATE, collapse=True, **kw
+            "lwfs", 64, 16, seed=3, state_bytes=STATE,
+            options=RunOptions(collapse=True), **kw
         )
         both = run_checkpoint_trial(
-            "lwfs", 64, 16, seed=3, state_bytes=STATE, collapse=True, flow=True, **kw
+            "lwfs", 64, 16, seed=3, state_bytes=STATE,
+            options=RunOptions(collapse=True, flow=True), **kw
         )
         assert both.extra["max_multiplicity"] > 1
         assert both.extra["flows_active"] >= 1
@@ -99,7 +116,7 @@ class TestFlowApproximation:
         leave the run bit-identical to the exact path."""
         exact = run_checkpoint_trial("lwfs", 4, 2, seed=3, state_bytes=8 * MiB)
         flow = run_checkpoint_trial(
-            "lwfs", 4, 2, seed=3, state_bytes=8 * MiB, flow=True
+            "lwfs", 4, 2, seed=3, state_bytes=8 * MiB, options=RunOptions(flow=True)
         )
         assert flow.max_elapsed == exact.max_elapsed
         assert flow.extra["events_processed"] == exact.extra["events_processed"]

@@ -2,23 +2,22 @@
 
 Contract under test:
 
-* resolution order per knob is explicit value > ``REPRO_*`` env > default;
-* the legacy ``trace``/``collapse``/``flow`` harness booleans still work,
-  warning exactly once per kwarg name;
+* resolution order for every knob is explicit value > ``REPRO_*`` env >
+  default, with no exception: no environment variable beats an
+  explicit value;
+* the trial functions take run configuration only through
+  ``options=RunOptions(...)``;
 * the bench trial-cache key folds the resolved options in (a fault plan
   changes the key; fault-injected trials are never cached at all);
 * ``REPRO_*`` environment reads stay behind the single
-  ``repro.sim.config.env_str`` gateway, except the documented kill
-  switches.
+  ``repro.sim.config.env_str`` gateway.
 """
 
 import os
-import warnings
 
 import pytest
 
-from repro.bench import run_checkpoint_trial
-from repro.bench import harness
+from repro.bench import run_checkpoint_trial, run_create_trial
 from repro.bench.cache import TrialCache, trial_key
 from repro.bench.executor import checkpoint_spec
 from repro.faults import FaultEvent, FaultPlan
@@ -36,7 +35,7 @@ class TestResolutionOrder:
         monkeypatch.delenv("REPRO_SHARD", raising=False)
         opts = RunOptions().resolved()
         assert (opts.collapse, opts.flow, opts.trace) == (False, False, False)
-        assert (opts.fastpath, opts.lazy_kernel, opts.cache) == (True, True, True)
+        assert opts.cache is True
         assert opts.fastforward is True
         assert opts.shards == 1
         assert opts.faults is None
@@ -45,9 +44,11 @@ class TestResolutionOrder:
         monkeypatch.setenv("REPRO_SHARD", "4")
         assert RunOptions().resolved().shards == 4
         assert RunOptions(shards=2).resolved().shards == 2
-        # REPRO_SHARD=0 is a kill switch: it beats even an explicit count.
+        # REPRO_SHARD=0 means single-process when the count is unset, but
+        # like every other variable it never beats an explicit value.
         monkeypatch.setenv("REPRO_SHARD", "0")
-        assert RunOptions(shards=4).resolved().shards == 1
+        assert RunOptions().resolved().shards == 1
+        assert RunOptions(shards=4).resolved().shards == 4
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_COLLAPSE", "1")
@@ -57,11 +58,13 @@ class TestResolutionOrder:
         assert opts.cache is False
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLLAPSE", "0")
-        monkeypatch.setenv("REPRO_FLOW", "1")
-        opts = RunOptions(collapse=True, flow=False).resolved()
-        assert opts.collapse is True
-        assert opts.flow is False
+        # No exception: every boolean knob's explicit value beats its
+        # REPRO_* variable in both directions.
+        for name, env in RunOptions._ENV.items():
+            for explicit in (False, True):
+                monkeypatch.setenv(env, "0" if explicit else "1")
+                opts = RunOptions(**{name: explicit}).resolved()
+                assert getattr(opts, name) is explicit, (name, env)
 
     def test_falsey_env_spellings(self, monkeypatch):
         for raw in ("0", "false", "no", "FALSE"):
@@ -109,40 +112,14 @@ class TestResolutionOrder:
         assert RunOptions(tiers=tier).describe()["tiers"] == tier.signature()
 
 
-class TestLegacyKwargs:
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_slate(self, monkeypatch):
-        monkeypatch.setattr(harness, "_LEGACY_WARNED", set())
-
-    def test_legacy_kwarg_warns_exactly_once(self):
-        with pytest.warns(DeprecationWarning, match="`collapse` kwarg is deprecated"):
-            first = run_checkpoint_trial(
-                "lwfs", 4, 2, state_bytes=STATE, seed=5, collapse=True
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            second = run_checkpoint_trial(
-                "lwfs", 4, 2, state_bytes=STATE, seed=5, collapse=True
-            )
-        assert first.max_elapsed == second.max_elapsed
-
-    def test_each_kwarg_warns_separately(self):
-        with pytest.warns(DeprecationWarning, match="`flow`"):
-            run_checkpoint_trial("lwfs", 4, 2, state_bytes=STATE, seed=5, flow=True)
-        with pytest.warns(DeprecationWarning, match="`trace`"):
-            run_checkpoint_trial("lwfs", 4, 2, state_bytes=STATE, seed=5, trace=True)
-
-    def test_legacy_kwarg_matches_options_path(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_checkpoint_trial(
-                "lwfs", 4, 2, state_bytes=STATE, seed=5, collapse=True
-            )
-        typed = run_checkpoint_trial(
-            "lwfs", 4, 2, state_bytes=STATE, seed=5,
-            options=RunOptions(collapse=True),
-        )
-        assert legacy.max_elapsed == typed.max_elapsed
-        assert legacy.extra["events_processed"] == typed.extra["events_processed"]
+class TestLegacyKwargsRemoved:
+    @pytest.mark.parametrize(
+        "fn", [run_checkpoint_trial, run_create_trial], ids=["checkpoint", "create"]
+    )
+    @pytest.mark.parametrize("name", ["trace", "collapse", "flow", "tiers"])
+    def test_legacy_kwargs_are_rejected(self, fn, name):
+        with pytest.raises(TypeError, match=name):
+            fn("lwfs", 4, 2, seed=5, **{name: True})
 
 
 class TestCacheKeySeparation:
@@ -176,15 +153,9 @@ class TestCacheKeySeparation:
 
 
 class TestEnvReadWhitelist:
-    #: The documented kill switches (read at point of use to avoid import
-    #: cycles) plus the single env_str gateway.  Nothing else in
-    #: src/repro may touch os.environ.
-    WHITELIST = {
-        os.path.join("sim", "config.py"),      # env_str gateway
-        os.path.join("network", "fabric.py"),  # REPRO_FABRIC_FASTPATH
-        os.path.join("network", "flow.py"),    # REPRO_FLOW
-        os.path.join("simkernel", "core.py"),  # REPRO_KERNEL_LAZY
-    }
+    #: The single env_str gateway.  Nothing else in src/repro may touch
+    #: os.environ.
+    WHITELIST = {os.path.join("sim", "config.py")}
 
     def test_no_stray_environment_reads(self):
         import repro
@@ -203,6 +174,5 @@ class TestEnvReadWhitelist:
                         and rel not in self.WHITELIST:
                     offenders.append(rel)
         assert not offenders, (
-            f"REPRO_* reads outside repro.sim.config.env_str and the "
-            f"documented kill switches: {offenders}"
+            f"REPRO_* reads outside repro.sim.config.env_str: {offenders}"
         )

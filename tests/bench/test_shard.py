@@ -211,17 +211,23 @@ class TestExecutorClamp:
 
 
 class TestCacheKeySensitivity:
-    def test_kill_switches_fold_into_trial_key(self, monkeypatch):
+    def test_trial_key_follows_the_resolved_options(self, monkeypatch):
         spec = checkpoint_spec("lwfs", 8, 4, seed=1, state_bytes=STATE)
         monkeypatch.delenv("REPRO_FASTFORWARD", raising=False)
         monkeypatch.delenv("REPRO_SHARD", raising=False)
         base = trial_key(spec)
+        # REPRO_SHARD=0 and unset both resolve to one shard: one cache line.
+        monkeypatch.setenv("REPRO_SHARD", "0")
+        assert trial_key(spec) == base
+        monkeypatch.delenv("REPRO_SHARD")
+        # A resolved difference separates the lines, whichever way it
+        # was set.
         monkeypatch.setenv("REPRO_FASTFORWARD", "0")
         no_ff = trial_key(spec)
         monkeypatch.delenv("REPRO_FASTFORWARD")
-        monkeypatch.setenv("REPRO_SHARD", "0")
-        no_shard = trial_key(spec)
-        assert len({base, no_ff, no_shard}) == 3
+        sharded = trial_key(checkpoint_spec(
+            "lwfs", 8, 4, seed=1, state_bytes=STATE, options=RunOptions(shards=2)))
+        assert len({base, no_ff, sharded}) == 3
 
 
 def test_txn_fanout_scale_validated():

@@ -6,7 +6,6 @@ from repro.network.flow import (
     Flow,
     FlowNetwork,
     FluidResource,
-    flow_enabled,
     fluid_of,
 )
 from repro.simkernel import Environment
@@ -218,11 +217,12 @@ class TestHelpers:
         assert fluid_of(pipe) is fluid
         assert fluid.capacity == pipe.bandwidth
 
-    def test_flow_enabled_env_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW", raising=False)
-        assert flow_enabled(True) is True
-        assert flow_enabled(False) is False
-        monkeypatch.setenv("REPRO_FLOW", "0")
-        assert flow_enabled(True) is False
-        monkeypatch.setenv("REPRO_FLOW", "1")
-        assert flow_enabled(False) is True
+    def test_fastforward_follows_the_environment_flag(self, monkeypatch):
+        # The engine reads env.fastforward (set from the resolved
+        # RunOptions), never the process environment.
+        monkeypatch.setenv("REPRO_FASTFORWARD", "1")
+        off = Environment()
+        off.fastforward = False
+        assert FlowNetwork(off)._ff is False
+        monkeypatch.setenv("REPRO_FASTFORWARD", "0")
+        assert FlowNetwork(Environment())._ff is True

@@ -10,6 +10,7 @@ excises entries immediately.
 import pytest
 
 from repro.bench import run_checkpoint_trial, run_create_trial
+from repro.sim.config import RunOptions
 from repro.simkernel import Environment
 from repro.simkernel import core as simkernel_core
 from repro.trace import kernel_stats
@@ -112,11 +113,14 @@ class TestTrialEquivalence:
         assert lazy.extra["events_processed"] == eager.extra["events_processed"]
 
     def test_create_trial_bit_identical_with_trace(self):
+        traced = RunOptions(trace=True)
         lazy = _with_lazy(
-            True, run_create_trial, "lwfs", 8, 4, seed=11, creates_per_client=16, trace=True
+            True, run_create_trial, "lwfs", 8, 4, seed=11, creates_per_client=16,
+            options=traced,
         )
         eager = _with_lazy(
-            False, run_create_trial, "lwfs", 8, 4, seed=11, creates_per_client=16, trace=True
+            False, run_create_trial, "lwfs", 8, 4, seed=11, creates_per_client=16,
+            options=traced,
         )
         assert lazy.extra["creates_per_s"] == eager.extra["creates_per_s"]
         assert lazy.extra["events_processed"] == eager.extra["events_processed"]

@@ -14,9 +14,11 @@ import pytest
 import repro.network.fabric as fabric_mod
 from repro.bench import run_checkpoint_trial
 from repro.bench.executor import checkpoint_spec, run_trials
+from repro.sim.config import RunOptions
 from repro.units import MiB
 
 POINT = dict(impl="lwfs", n_clients=4, n_servers=2, state_bytes=2 * MiB, seed=9)
+TRACED = RunOptions(trace=True)
 
 
 def _keys(trial):
@@ -26,8 +28,8 @@ def _keys(trial):
 def test_trace_identical_across_reruns():
     # Second run starts with shifted process-global counters (request ids,
     # portals match bits); the trace must not see them.
-    a = run_checkpoint_trial(**POINT, trace=True)
-    b = run_checkpoint_trial(**POINT, trace=True)
+    a = run_checkpoint_trial(**POINT, options=TRACED)
+    b = run_checkpoint_trial(**POINT, options=TRACED)
     assert _keys(a) == _keys(b)
 
 
@@ -37,7 +39,7 @@ def test_trace_identical_fastpath_on_and_off():
         saved = fabric_mod.FASTPATH
         fabric_mod.FASTPATH = enabled
         try:
-            results[enabled] = run_checkpoint_trial(**POINT, trace=True)
+            results[enabled] = run_checkpoint_trial(**POINT, options=TRACED)
         finally:
             fabric_mod.FASTPATH = saved
     assert _keys(results[False]) == _keys(results[True])
@@ -46,7 +48,9 @@ def test_trace_identical_fastpath_on_and_off():
 
 def test_trace_identical_serial_vs_parallel_sweep():
     specs = [
-        checkpoint_spec("lwfs", 4, 2, seed=100 + t, state_bytes=2 * MiB, trace=True)
+        checkpoint_spec(
+            "lwfs", 4, 2, seed=100 + t, state_bytes=2 * MiB, options=TRACED
+        )
         for t in range(3)
     ]
     serial = run_trials(specs, jobs=1)
@@ -60,7 +64,7 @@ def test_trace_identical_serial_vs_parallel_sweep():
 
 def test_tracing_does_not_perturb_the_simulation():
     plain = run_checkpoint_trial(**POINT)
-    traced = run_checkpoint_trial(**POINT, trace=True)
+    traced = run_checkpoint_trial(**POINT, options=TRACED)
     # Recording spans schedules no events and reads the clock only.
     assert plain.extra["events_processed"] == traced.extra["events_processed"]
     assert plain.extra["peak_event_queue"] == traced.extra["peak_event_queue"]
