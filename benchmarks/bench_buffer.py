@@ -16,8 +16,8 @@ flow) run three ways —
 All three run through :func:`repro.bench.run_sweep` (serially, cache
 off) so per-trial wall-clock, kernel stats, and the buffer drain stats
 land in ``BENCH_sweep.json``; the summary is recorded under the
-``buffer`` key of ``BENCH_kernel.json`` (guarded by
-``check_kernel_perf.py``) and in ``results/buffer_crossover.json``.
+``buffer`` key of ``BENCH_kernel.json`` (guarded by the ``kernel``
+gate of :mod:`repro.gates`) and in ``results/buffer_crossover.json``.
 """
 
 import json
@@ -25,7 +25,7 @@ import os
 import sys
 
 from repro.bench import run_sweep, save_json
-from repro.bench.executor import BUFFER_MIN_SPEEDUP, _buffer_grid
+from repro.gates import BUFFER_MIN_SPEEDUP, _buffer_grid
 
 if __name__ == "__main__":
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -33,7 +33,7 @@ from conftest import run_once  # noqa: E402
 from bench_simkernel_events import KERNEL_JSON, KERNEL_SCHEMA  # noqa: E402
 
 #: Buffer-fits must beat direct by at least this factor (the paper-style
-#: crossover claim pinned by check_kernel_perf.py).
+#: crossover claim the ``kernel`` gate checks in BENCH_kernel.json).
 MIN_SPEEDUP = BUFFER_MIN_SPEEDUP
 
 _POINTS = ("direct", "buffer_fits", "drain_limited")

@@ -19,6 +19,7 @@ import time
 
 from repro.bench import format_rows, run_checkpoint_trial, run_create_trial, save_json
 from repro.bench.executor import checkpoint_spec, run_sweep
+from repro.gates import FLOW_REL_TOL
 from repro.machine import dev_cluster, red_storm
 from repro.sim import SimConfig
 from repro.sim.config import RunOptions
@@ -37,9 +38,6 @@ COLLAPSE_REL_TOL = 0.02
 #: Measured: 3.1x (lwfs), 3.2x (fpp), 43.8x (shared).
 COLLAPSE_MIN_SPEEDUP = 3.0
 
-#: Flow-vs-exact tolerance on per-client bandwidth (both slices).
-#: Measured: <=0.2% everywhere.
-FLOW_REL_TOL = 0.01
 #: Flow mode must buy at least this wall-clock factor on the bulky dump.
 #: Measured: 8.0x (lwfs), with ~12x fewer kernel events.
 FLOW_MIN_SPEEDUP = 5.0

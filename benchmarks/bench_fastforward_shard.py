@@ -31,6 +31,7 @@ import sys
 import pytest
 
 from repro.bench import checkpoint_spec, run_sweep, save_json
+from repro.gates import SHARD_REL_TOL
 from repro.machine.presets import red_storm
 from repro.sim.config import RunOptions
 from repro.units import MiB
@@ -49,7 +50,6 @@ HL_SEED = 11
 #: Gate floors from the scale-out acceptance criteria.
 MIN_FF_SPEEDUP = 3.0
 MIN_SHARD_SPEEDUP = 10.0
-SHARD_REL_TOL = 0.01
 
 #: Execution order matters: the optimized paths run first so their
 #: wall-clock is measured on a clean heap — the event-heavy baseline

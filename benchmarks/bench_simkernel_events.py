@@ -22,7 +22,8 @@ Figures land in ``results/simkernel_events.json`` /
 ``results/simkernel_timer_race.json``, and every workload is measured
 with the lazy-cancellation path ON and OFF (``repro.simkernel.core.LAZY``
 reference) into ``BENCH_kernel.json`` at the repo root, which
-``benchmarks/check_kernel_perf.py`` uses as its regression baseline.
+the ``kernel`` gate of :mod:`repro.gates` uses as its regression
+baseline (``--record`` reseeds it).
 """
 
 import json

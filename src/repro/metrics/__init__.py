@@ -18,9 +18,9 @@ Quick use::
     sampler.finish()
     doc = build_doc(registry, sampler)
 
-``python -m repro.metrics`` runs the metrics-quick gate (schema
+``python -m repro.gates metrics`` runs the metrics gate (schema
 validation, zero-perturbation pin, sampler overhead bound, health
-smoke) — see :mod:`repro.metrics.__main__`.
+smoke) — see :mod:`repro.gates`.
 """
 
 from .export import (

@@ -1,7 +1,7 @@
 """Burst-buffer absorb-then-drain tier (ROADMAP item 2).
 
-``python -m repro.storage.buffer`` runs the self-check gate
-(``make buffer-quick``).
+``python -m repro.gates buffer`` (``make buffer-quick``) runs the
+tier's self-check gate; see :mod:`repro.gates`.
 """
 
 from .node import BufferNode, BufferTierRuntime, Extent

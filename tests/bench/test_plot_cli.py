@@ -1,10 +1,14 @@
 """ASCII charting and the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.bench.harness import SweepPoint
 from repro.bench.plot import ascii_chart, chart_sweep
 from repro.cli import build_parser, main
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def _point(clients, servers, mean, unit="MB/s"):
@@ -50,10 +54,11 @@ class TestAsciiChart:
 class TestCLI:
     def test_parser_knows_all_commands(self):
         parser = build_parser()
-        for command in ("table1", "table2", "checkpoint", "create",
-                        "fig9", "fig10", "petaflop", "examples"):
-            args = parser.parse_args([command])
-            assert args.command == command
+        for argv in (["table1"], ["table2"], ["checkpoint"], ["create"],
+                     ["fig9"], ["fig10"], ["petaflop"], ["examples"],
+                     ["trace"], ["traffic"], ["metrics", "export.json"]):
+            args = parser.parse_args(argv)
+            assert args.command == argv[0]
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -63,6 +68,20 @@ class TestCLI:
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
         assert "Red Storm" in out and "65536" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["checkpoint", "--clients", "8", "--servers", "4", "--state-mb", "8",
+         "--seed", "42", "--faults", "examples/faults/storage_crash.json"],
+        ["checkpoint", "--clients", "8", "--servers", "4", "--state-mb", "8",
+         "--tiers", "examples/tiers/nvram_node_local.json"],
+        ["traffic", "--workload", "examples/workloads/diurnal_mixed.json",
+         "--servers", "8", "--seed", "1"],
+        ["checkpoint", "--impl", "lustre-fpp", "--clients", "64", "--servers", "16",
+         "--state-mb", "16", "--collapse"],
+    ], ids=["faults", "tiers", "workload", "collapse"])
+    def test_input_file_and_collapse_paths_stay_wired(self, argv, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(argv) == 0
 
     def test_checkpoint_point(self, capsys):
         assert main(["checkpoint", "--impl", "lwfs", "--clients", "4",

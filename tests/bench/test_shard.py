@@ -5,7 +5,7 @@ Contract under test:
 * **accuracy** — a 128-client Red Storm slice split into server-group
   shards agrees with the single-process run within 1% on the figure of
   merit (the residual is the mean-field service split, pinned by the
-  same tolerance as the ``--check-shard`` CI gate);
+  same tolerance as the ``shard`` CI gate);
 * **determinism** — repeated sharded runs are bit-identical: the window
   schedule is derived analytically, and the barrier exchanges no
   simulation state;
@@ -28,17 +28,18 @@ from repro.bench import shard
 from repro.bench.cache import trial_key
 from repro.bench.executor import _clamp_jobs_for_shards, checkpoint_spec
 from repro.bench.shard import plan_shards
+from repro.gates import SHARD_REL_TOL
 from repro.machine.presets import red_storm
 from repro.sim.config import RunOptions, SimConfig
 from repro.units import MiB
 
 from ..faults.test_injection import SCENARIOS
 
-#: The CI gate's Red Storm slice (see executor._shard_grid).
+#: The CI gate's Red Storm slice (see repro.gates._shard_grid).
 N, M, STATE, SEED = 128, 32, 8 * MiB, 500
 
-#: Same tolerance the ``--check-shard`` gate enforces.
-REL_TOL = 0.01
+#: Same tolerance the ``shard`` gate enforces.
+REL_TOL = SHARD_REL_TOL
 
 
 def _ckpt(shards, **kw):

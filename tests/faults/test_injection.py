@@ -77,7 +77,7 @@ class TestFaultsOffBitIdentical:
         # The pins were recorded on the per-chunk-epoch reference path;
         # the analytic fast-forward (on by default with flow mode) can
         # reassociate the same sums and drift the last ulp, so its
-        # equivalence is gated separately at 1e-9 (--check-fastforward)
+        # equivalence is gated separately at 1e-9 (the shard gate's fastforward-equivalence check)
         # while this test pins the reference bit-exact.
         r = run_checkpoint_trial(
             impl, N, M, state_bytes=32 * MiB, seed=SEED,

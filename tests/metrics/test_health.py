@@ -155,7 +155,7 @@ class TestAcceptance:
         from repro.sim.config import RunOptions, SimConfig
 
         # The storage-crash scenario retuned for measurement (see
-        # repro.metrics.__main__): a 0.5 s outage against a 10 ms
+        # the ``metrics`` gate in repro.gates): a 0.5 s outage against a 10 ms
         # failure-detection timeout, fine-grained chunks for a dense
         # per-server progress signal.
         plan = FaultPlan(

@@ -27,7 +27,7 @@ from repro.sim.collapse import class_block_width, tenant_class_plan
 from repro.sim.config import RunOptions, SimConfig
 from repro.sim.deployment import LWFSDeployment
 from repro.workload import TenantClass, WorkloadEngine, WorkloadSpec, run_workload_trial
-from repro.workload.__main__ import ACCURACY_TOL, _gate_spec, _rows, _run
+from repro.gates import ACCURACY_TOL, _gate_spec, _rows, _run
 
 SEED = 11
 
