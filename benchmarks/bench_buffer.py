@@ -50,13 +50,13 @@ def run_crossover(record=True):
             "point": point,
             "throughput_mb_s": o.value,
             "wall_s": round(o.wall_clock_s, 3),
-            "events_processed": o.events_processed,
+            "events_processed": int(o.result.extra["events_processed"]),
         }
-        if o.buffer_summary is not None:
+        if "buffer_absorbed_mb" in o.result.extra:
             for k in ("buffer_absorbed_mb", "buffer_drained_mb",
                       "buffer_drain_tail_s", "buffer_drain_goodput_mb_s",
                       "buffer_backpressure_s", "buffer_drain_limited"):
-                row[k] = round(o.buffer_summary[k], 6)
+                row[k] = round(o.result.extra[k], 6)
         rows.append(row)
     return rows
 

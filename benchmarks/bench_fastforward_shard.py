@@ -84,9 +84,9 @@ def run_headline(record=True):
             "speedup": round(base.wall_clock_s / o.wall_clock_s, 2),
             "throughput_mb_s": o.value,
             "rel_err": abs(o.value - base.value) / base.value,
-            "events_processed": o.events_processed,
-            "events_fast_forwarded": o.events_fast_forwarded,
-            "window_barriers": o.window_barriers,
+            "events_processed": int(o.result.extra["events_processed"]),
+            "events_fast_forwarded": int(o.result.extra["events_fast_forwarded"]),
+            "window_barriers": int(o.result.extra["window_barriers"]),
         })
     return rows
 

@@ -82,7 +82,7 @@ def test_fault_recovery(benchmark, jobs):
             SCENARIOS, outcomes[len(clean_specs):]
         ):
             base = clean[impl]
-            f = o.fault_summary
+            f = o.result.extra
             rows.append(
                 {
                     "scenario": scenario,

@@ -74,11 +74,11 @@ def run_headline(record=True):
             "wall_s": round(o.wall_clock_s, 3),
             "ops_per_s": o.value,
             "offered_rate": HL_RATE,
-            "sim_hours": round(o.sim_seconds / 3600.0, 3),
+            "sim_hours": round(o.result.extra["sim_seconds"] / 3600.0, 3),
             "sessions": 0,  # filled below from the spec
-            "tenants_simulated": o.tenants_simulated,
-            "max_class_multiplicity": o.max_class_multiplicity,
-            "events_processed": o.events_processed,
+            "tenants_simulated": int(o.result.extra["tenants_simulated"]),
+            "max_class_multiplicity": int(o.result.extra["max_class_multiplicity"]),
+            "events_processed": int(o.result.extra["events_processed"]),
         })
     # Session count comes from the engine's extra rows; recompute it here
     # from the spec so the invariance check does not depend on reporting.

@@ -2,7 +2,7 @@
 
 Every benchmark trial is a deterministic function of its spec — same
 implementation, grid point, seed, parameters, simulator version, and
-fast-path switches always produce bit-identical figures of merit.  That
+resolved run options always produce a bit-identical result.  That
 makes re-running an unchanged trial pure waste: a sweep edited to add one
 server count re-simulates every point it already measured.
 
@@ -14,14 +14,17 @@ stale hits are impossible by construction rather than by invalidation
 logic.
 
 Layout: one small JSON file per trial under ``results/.trial-cache/``
-(first two hex chars shard the directory).  Escape hatches:
+(first two hex chars shard the directory).  An entry stores the figure
+of merit and the whole :class:`~repro.bench.harness.TrialResult`, so a
+warm hit rebuilds exactly what a fresh run returns.  Escape hatches:
 
 * ``--no-cache`` on the sweep CLIs,
 * ``REPRO_BENCH_CACHE=0`` in the environment,
 * ``REPRO_BENCH_CACHE_DIR`` to relocate the store (tests use a tmpdir).
 
-Traced trials (``trace=True``) are never cached: span lists are large,
-and the trace is the product the caller wants, not the scalar.
+Traced trials (``trace=True``) and fault-injected trials are never
+cached (see :meth:`TrialCache.cacheable`), so a stored result never
+carries a span list or a fault log.
 """
 
 from __future__ import annotations
@@ -37,23 +40,10 @@ from ..sim.config import RunOptions, env_str
 
 __all__ = ["CACHE_SCHEMA", "TrialCache", "default_cache_dir", "trial_key"]
 
-#: Schema marker written into every cache entry; bump to invalidate.
-#: v3: accelerator switches (REPRO_FASTFORWARD / REPRO_SHARD) joined the
-#: key and ``peak_event_queue`` changed meaning (live depth under lazy
-#: cancellation), so v2 entries are stale by construction.
-#: v4: the metrics knobs (REPRO_METRICS / REPRO_METRICS_PERIOD) joined
-#: the key via ``RunOptions.describe()`` and outcome payloads grew the
-#: metrics document + summary, so v3 entries are stale by construction.
-#: v5: open-loop workload trials joined the executor — the workload
-#: spec's content signature and the tenant-collapse knob (plus its raw
-#: ``REPRO_TENANT_COLLAPSE`` kill switch) are part of the key, and
-#: outcome payloads grew tenants_simulated / max_class_multiplicity and
-#: per-tenant-class latency rows, so v4 entries are stale by construction.
-#: v6: the burst-buffer tier spec (REPRO_TIERS) joined the key — its
-#: resolved content signature rides ``RunOptions.describe()`` — and
-#: buffered trials grew the buffer_* drain stats in ``extra``, so v5
-#: entries are stale by construction.
-CACHE_SCHEMA = "repro-trial-cache/v6"
+#: Schema marker written into every cache entry; bump only when
+#: ``TrialResult``'s fields or the entry shape change (entries written
+#: under another schema read as misses).
+CACHE_SCHEMA = "repro-trial-cache/v7"
 
 
 def default_cache_dir() -> str:

@@ -44,6 +44,7 @@ from pickle import PicklingError
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..sim.config import env_str
+from .harness import TrialResult, run_checkpoint_trial, run_create_trial
 
 __all__ = [
     "TrialSpec",
@@ -57,15 +58,10 @@ __all__ = [
     "sweep_json_path",
 ]
 
-#: Schema marker written into BENCH_sweep.json.  Jumped v1 -> v4 to join
-#: the trial cache's generation numbering (repro-trial-cache/v4): both
-#: stores grew the metrics summary in the same change, and one shared
-#: generation is easier to audit than two drifting ones.  v5: open-loop
-#: workload trials (kind="workload") joined the sweep, and per-trial
-#: rows grew tenants_simulated / max_class_multiplicity.  v6: the
-#: burst-buffer tier signature joined the trial key (repro-trial-cache/v6)
-#: and buffered rows carry the buffer_* drain stats; sweeps recorded
-#: under older schemas are dropped on the next write (with a count).
+#: Schema marker written into BENCH_sweep.json; bump only when
+#: ``TrialResult``'s fields or the row shape (:func:`_trial_record`)
+#: change.  Sweeps recorded under another schema are dropped on the
+#: next write (with a count).
 SWEEP_SCHEMA = "repro-bench-sweep/v6"
 
 #: Cap on recorded sweep entries kept in BENCH_sweep.json.
@@ -90,50 +86,21 @@ class TrialSpec:
 
 @dataclass
 class TrialOutcome:
-    """A finished trial: the figure of merit plus executor-side stats.
+    """A finished trial: its :class:`TrialResult` plus executor-side stats.
 
-    ``value``/``unit`` are the deterministic simulation outputs;
-    ``wall_clock_s`` is host time and intentionally kept out of every
-    aggregate that must be reproducible.
+    ``result`` is the trial function's record, whole — kernel stats and
+    every subsystem's counters live in ``result.extra``, spans in
+    ``result.trace``, the fault log in ``result.fault_log`` and the
+    metrics document in ``result.metrics``.  ``value``/``unit`` are the
+    kind's figure of merit; ``wall_clock_s`` is host time and
+    intentionally kept out of every aggregate that must be reproducible.
     """
 
     spec: TrialSpec
+    result: TrialResult
     value: float
     unit: str
     wall_clock_s: float
-    events_processed: int
-    peak_event_queue: int
-    sim_seconds: float = 0.0
-    #: Flow completions the analytic fast-forward engine retired without
-    #: per-chunk event scheduling (0 when the engine is off or unused).
-    events_fast_forwarded: int = 0
-    #: Conservative-sync barrier crossings summed over the run's shards
-    #: (0 for single-process runs).
-    window_barriers: int = 0
-    #: Completed span list when the spec carried ``trace=True`` (spans
-    #: pickle cleanly, so traced trials survive the process pool).
-    trace: Optional[list] = None
-    #: Compact per-kind summary of the trace, sized for BENCH_sweep.json.
-    trace_summary: Optional[Dict[str, Any]] = None
-    #: Fault-recovery counters + log when the spec carried a fault plan
-    #: (``retries``, ``recovered_ops``, ``goodput_degraded``, ...).
-    fault_summary: Optional[Dict[str, Any]] = None
-    fault_log: Optional[list] = None
-    #: Full exported metrics document when the spec carried
-    #: ``RunOptions(metrics=True)`` (see :mod:`repro.metrics.export`);
-    #: plain JSON dict, so it survives the pool and the trial cache.
-    metrics: Optional[Dict[str, Any]] = None
-    #: Compact series summary + SLO verdict, sized for BENCH_sweep.json.
-    metrics_summary: Optional[Dict[str, Any]] = None
-    #: Burst-buffer drain stats when the spec carried a tier
-    #: (``buffer_absorbed_mb``, ``buffer_drain_tail_s``,
-    #: ``buffer_backpressure_s``, ...; None on the direct path).
-    buffer_summary: Optional[Dict[str, float]] = None
-    #: Open-loop workload trials: how many tenants the run stood for and
-    #: the largest tenant multiplicity one representative session carried
-    #: (0 for the closed-loop checkpoint/create kinds).
-    tenants_simulated: int = 0
-    max_class_multiplicity: int = 0
     #: ``True`` when the outcome came from the persistent trial cache
     #: (``wall_clock_s`` is then the cache lookup, not a simulation).
     cached: bool = False
@@ -187,8 +154,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 def _run_trial(spec: TrialSpec) -> TrialOutcome:
     """Execute one trial (runs in a worker process or in-process)."""
-    from .harness import run_checkpoint_trial, run_create_trial
-
     start = time.perf_counter()
     if spec.kind == "checkpoint":
         result = run_checkpoint_trial(
@@ -209,51 +174,7 @@ def _run_trial(spec: TrialSpec) -> TrialOutcome:
         value, unit = result.extra["ops_per_s"], "ops/s"
     else:
         raise ValueError(f"unknown trial kind {spec.kind!r}")
-    wall = time.perf_counter() - start
-    trace_summary = None
-    if result.trace is not None:
-        from ..trace import summarize
-
-        trace_summary = summarize(result.trace)
-    fault_summary = None
-    if result.fault_log is not None:
-        fault_summary = {
-            k: result.extra[k]
-            for k in (
-                "faults_injected", "retries", "recovered_ops", "rpc_dropped",
-                "rpc_duplicated", "degraded_seconds", "goodput_degraded",
-            )
-            if k in result.extra
-        }
-        fault_summary["fault_log_entries"] = len(result.fault_log)
-    buffer_summary = {
-        k: v for k, v in result.extra.items() if k.startswith("buffer_")
-    } or None
-    metrics_summary = None
-    if result.metrics is not None:
-        from ..metrics import metrics_summary as summarize_metrics
-
-        metrics_summary = summarize_metrics(result.metrics)
-    return TrialOutcome(
-        spec=spec,
-        value=value,
-        unit=unit,
-        wall_clock_s=wall,
-        events_processed=int(result.extra.get("events_processed", 0)),
-        peak_event_queue=int(result.extra.get("peak_event_queue", 0)),
-        sim_seconds=float(result.extra.get("sim_seconds", 0.0)),
-        events_fast_forwarded=int(result.extra.get("events_fast_forwarded", 0)),
-        window_barriers=int(result.extra.get("window_barriers", 0)),
-        trace=result.trace,
-        trace_summary=trace_summary,
-        fault_summary=fault_summary,
-        buffer_summary=buffer_summary,
-        fault_log=result.fault_log,
-        metrics=result.metrics,
-        metrics_summary=metrics_summary,
-        tenants_simulated=int(result.extra.get("tenants_simulated", 0)),
-        max_class_multiplicity=int(result.extra.get("max_class_multiplicity", 0)),
-    )
+    return TrialOutcome(spec, result, value, unit, time.perf_counter() - start)
 
 
 def _pool_context():
@@ -281,49 +202,6 @@ def _resolve_cache(cache):
     if cache is None or cache is True:
         return TrialCache()
     return cache
-
-
-def _outcome_payload(o: TrialOutcome) -> Dict[str, Any]:
-    """The deterministic slice of an outcome, as stored in the cache."""
-    payload = {
-        "value": o.value,
-        "unit": o.unit,
-        "events_processed": o.events_processed,
-        "peak_event_queue": o.peak_event_queue,
-        "sim_seconds": o.sim_seconds,
-        "events_fast_forwarded": o.events_fast_forwarded,
-        "window_barriers": o.window_barriers,
-    }
-    if o.tenants_simulated:
-        payload["tenants_simulated"] = o.tenants_simulated
-        payload["max_class_multiplicity"] = o.max_class_multiplicity
-    if o.buffer_summary is not None:
-        payload["buffer_summary"] = o.buffer_summary
-    if o.metrics is not None:
-        payload["metrics"] = o.metrics
-        payload["metrics_summary"] = o.metrics_summary
-    return payload
-
-
-def _cached_outcome(spec: TrialSpec, payload: Dict[str, Any], wall: float) -> TrialOutcome:
-    metrics = payload.get("metrics")
-    return TrialOutcome(
-        spec=spec,
-        value=float(payload["value"]),
-        unit=str(payload["unit"]),
-        wall_clock_s=wall,
-        events_processed=int(payload.get("events_processed", 0)),
-        peak_event_queue=int(payload.get("peak_event_queue", 0)),
-        sim_seconds=float(payload.get("sim_seconds", 0.0)),
-        events_fast_forwarded=int(payload.get("events_fast_forwarded", 0)),
-        window_barriers=int(payload.get("window_barriers", 0)),
-        metrics=metrics if isinstance(metrics, dict) else None,
-        metrics_summary=payload.get("metrics_summary"),
-        buffer_summary=payload.get("buffer_summary"),
-        tenants_simulated=int(payload.get("tenants_simulated", 0)),
-        max_class_multiplicity=int(payload.get("max_class_multiplicity", 0)),
-        cached=True,
-    )
 
 
 #: Keys of one-shot executor warnings that already fired this process.
@@ -407,7 +285,10 @@ def run_trials(
             t0 = time.perf_counter()
             payload = store.get(spec)
             if payload is not None:
-                merged[i] = _cached_outcome(spec, payload, time.perf_counter() - t0)
+                merged[i] = TrialOutcome(
+                    spec, TrialResult(**payload["result"]), payload["value"],
+                    payload["unit"], time.perf_counter() - t0, cached=True,
+                )
             else:
                 pending.append(i)
     else:
@@ -416,7 +297,13 @@ def run_trials(
     def finish(i: int, outcome: TrialOutcome) -> None:
         merged[i] = outcome
         if store is not None:
-            store.put(specs[i], _outcome_payload(outcome))
+            store.put(specs[i], {
+                "value": outcome.value,
+                "unit": outcome.unit,
+                # Shallow: put() drops uncacheable (traced/faulted) specs
+                # before serializing, so their spans are never copied.
+                "result": vars(outcome.result),
+            })
 
     if jobs <= 1 or len(pending) <= 1:
         for i in pending:
@@ -476,8 +363,23 @@ def run_sweep(
     return outcomes
 
 
+#: ``TrialResult.extra`` keys of a fault-injected trial that its
+#: BENCH_sweep.json row summarizes.
+_FAULT_SUMMARY_KEYS = (
+    "faults_injected", "retries", "recovered_ops", "rpc_dropped",
+    "rpc_duplicated", "degraded_seconds", "goodput_degraded",
+)
+
+
 def _trial_record(o: TrialOutcome) -> Dict[str, Any]:
-    """One per-trial JSON row: identity, figure of merit, kernel stats."""
+    """One per-trial JSON row: identity, figure of merit, kernel stats.
+
+    The only code that names BENCH_sweep.json row keys; every column is
+    read from ``o.result``, so a cache hit and a fresh run of one spec
+    record the same row (up to ``wall_clock_s``/``cached``).
+    """
+    result = o.result
+    extra = result.extra
     row: Dict[str, Any] = {
         "kind": o.spec.kind,
         "impl": o.spec.impl,
@@ -487,24 +389,32 @@ def _trial_record(o: TrialOutcome) -> Dict[str, Any]:
         "value": o.value,
         "unit": o.unit,
         "wall_clock_s": round(o.wall_clock_s, 6),
-        "events_processed": o.events_processed,
-        "peak_event_queue": o.peak_event_queue,
-        "sim_seconds": round(o.sim_seconds, 9),
-        "events_fast_forwarded": o.events_fast_forwarded,
-        "window_barriers": o.window_barriers,
+        "events_processed": int(extra.get("events_processed", 0)),
+        "peak_event_queue": int(extra.get("peak_event_queue", 0)),
+        "sim_seconds": round(float(extra.get("sim_seconds", 0.0)), 9),
+        "events_fast_forwarded": int(extra.get("events_fast_forwarded", 0)),
+        "window_barriers": int(extra.get("window_barriers", 0)),
         "cached": o.cached,
     }
-    if o.tenants_simulated:
-        row["tenants_simulated"] = o.tenants_simulated
-        row["max_class_multiplicity"] = o.max_class_multiplicity
-    if o.trace_summary is not None:
-        row["trace_summary"] = o.trace_summary
-    if o.fault_summary is not None:
-        row["fault_summary"] = o.fault_summary
-    if o.buffer_summary is not None:
-        row["buffer_summary"] = o.buffer_summary
-    if o.metrics_summary is not None:
-        row["metrics_summary"] = o.metrics_summary
+    tenants = int(extra.get("tenants_simulated", 0))
+    if tenants:
+        row["tenants_simulated"] = tenants
+        row["max_class_multiplicity"] = int(extra.get("max_class_multiplicity", 0))
+    if result.trace is not None:
+        from ..trace import summarize
+
+        row["trace_summary"] = summarize(result.trace)
+    if result.fault_log is not None:
+        faults = {k: extra[k] for k in _FAULT_SUMMARY_KEYS if k in extra}
+        faults["fault_log_entries"] = len(result.fault_log)
+        row["fault_summary"] = faults
+    buffer = {k: v for k, v in extra.items() if k.startswith("buffer_")}
+    if buffer:
+        row["buffer_summary"] = buffer
+    if result.metrics is not None:
+        from ..metrics import metrics_summary
+
+        row["metrics_summary"] = metrics_summary(result.metrics)
     return row
 
 
@@ -530,6 +440,7 @@ def _record_sweep(label: str, jobs: int, wall: float, outcomes: List[TrialOutcom
 
     serial_s = sum(o.wall_clock_s for o in outcomes)
     hits = sum(1 for o in outcomes if o.cached)
+    rows = [_trial_record(o) for o in outcomes]
     doc["sweeps"].append(
         {
             "label": label,
@@ -540,8 +451,8 @@ def _record_sweep(label: str, jobs: int, wall: float, outcomes: List[TrialOutcom
             "speedup": round(serial_s / wall, 3) if wall > 0 else None,
             "cache_hits": hits,
             "cache_misses": len(outcomes) - hits,
-            "events_processed": sum(o.events_processed for o in outcomes),
-            "per_trial": [_trial_record(o) for o in outcomes],
+            "events_processed": sum(row["events_processed"] for row in rows),
+            "per_trial": rows,
         }
     )
     doc["sweeps"] = doc["sweeps"][-SWEEP_HISTORY:]

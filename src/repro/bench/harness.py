@@ -25,6 +25,7 @@ from ..sim.config import RunOptions, SimConfig
 from ..sim.deployment import LWFSDeployment
 from ..storage.data import SyntheticData
 from ..units import MiB
+from .analytic import analytic_horizon
 
 __all__ = [
     "IMPLEMENTATIONS",
@@ -230,58 +231,9 @@ def run_checkpoint_trial(
     dump lands at absorb speed and drains asynchronously; the drain
     tail, goodput, and backpressure land in ``TrialResult.extra``.
     """
-    opts = (options or RunOptions()).resolved()
-    if opts.shards > 1:
-        from .shard import run_sharded_checkpoint_trial
-
-        return run_sharded_checkpoint_trial(
-            impl, n_clients, n_servers, state_bytes=state_bytes, seed=seed,
-            spec=spec, config=config, opts=opts, **deploy_kwargs
-        )
-    cluster, deployment, checkpointer, app, injector = _build(
-        impl, n_clients, n_servers, seed, spec, config,
-        opts=opts, collapse_state_bytes=state_bytes, **deploy_kwargs
-    )
-    tracer = _maybe_trace(cluster, opts.trace)
-    sampler = _maybe_metrics(
-        cluster, deployment, opts, "checkpoint", impl, n_clients, n_servers,
-        state_bytes=state_bytes,
-    )
-
-    # Under fault injection a checkpoint can abort wholesale (2PC presumed
-    # abort wipes the uncommitted creates at a rebooted server); real
-    # checkpoint libraries re-drive the dump, so the harness does too.
-    attempts = CKPT_ATTEMPTS if injector is not None else 1
-    main = checkpoint_main(checkpointer, state_bytes, attempts, injector)
-    results = app.run(main)
-    max_elapsed = max(r.elapsed for r in results)
-    mean_elapsed = sum(r.elapsed for r in results) / len(results)
-    # The workload's measured window ends here; the buffer tier keeps
-    # draining in the background, so run the drain barrier (and charge
-    # its tail) before the injector/sampler close their windows.
-    extra = _drain_tier(deployment)
-    extra.update(_kernel_stats(cluster))
-    extra.update(_collapse_stats(app))
-    if injector is not None:
-        injector.finish()
-        extra.update(injector.stats())
-    fault_log = injector.log if injector is not None else None
-    metrics_doc = _finish_metrics(sampler, fault_log)
-    if sampler is not None:
-        extra.update(sampler.stats())
-    return TrialResult(
-        impl=impl,
-        n_clients=n_clients,
-        n_servers=n_servers,
-        state_bytes=state_bytes,
-        max_elapsed=max_elapsed,
-        mean_elapsed=mean_elapsed,
-        throughput_mb_s=(n_clients * state_bytes / MiB) / max_elapsed,
-        create_max_elapsed=max(r.create_elapsed for r in results),
-        extra=extra,
-        trace=tracer.spans if tracer is not None else None,
-        fault_log=fault_log,
-        metrics=metrics_doc,
+    return _run_lifecycle(
+        "checkpoint", impl, n_clients, n_servers, seed, spec, config, options,
+        deploy_kwargs, state_bytes=state_bytes,
     )
 
 
@@ -299,52 +251,94 @@ def run_create_trial(
     """Create-only phase (Figure 10 workload): empty objects/files.
 
     Accepts the same ``options=RunOptions(...)`` configuration as
-    :func:`run_checkpoint_trial`.
+    :func:`run_checkpoint_trial`; the figure of merit lands in
+    ``TrialResult.extra["creates_per_s"]``.
+    """
+    return _run_lifecycle(
+        "create", impl, n_clients, n_servers, seed, spec, config, options,
+        deploy_kwargs, creates_per_client=creates_per_client,
+    )
+
+
+def _run_lifecycle(
+    kind: str,
+    impl: str,
+    n_clients: int,
+    n_servers: int,
+    seed: int,
+    spec: Optional[MachineSpec],
+    config: Optional[SimConfig],
+    options: Optional[RunOptions],
+    deploy_kwargs: Dict,
+    state_bytes: int = 0,
+    creates_per_client: int = 0,
+) -> TrialResult:
+    """The one trial lifecycle behind both Figure 9 and Figure 10 kinds.
+
+    Dispatch to the sharded driver, build, install tracer and metrics,
+    run the kind's rank program, collect.  The sharded driver's
+    single-process fallback re-enters here with ``shards=1``.
     """
     opts = (options or RunOptions()).resolved()
     if opts.shards > 1:
-        from .shard import run_sharded_create_trial
+        from .shard import run_sharded
 
-        return run_sharded_create_trial(
-            impl, n_clients, n_servers, creates_per_client=creates_per_client,
-            seed=seed, spec=spec, config=config, opts=opts, **deploy_kwargs
+        return run_sharded(
+            kind, impl, n_clients, n_servers, seed, spec, config, opts,
+            deploy_kwargs, state_bytes=state_bytes,
+            creates_per_client=creates_per_client,
         )
     cluster, deployment, checkpointer, app, injector = _build(
-        impl, n_clients, n_servers, seed, spec, config, opts=opts, **deploy_kwargs
+        impl, n_clients, n_servers, seed, spec, config,
+        opts=opts, collapse_state_bytes=state_bytes, **deploy_kwargs
     )
     tracer = _maybe_trace(cluster, opts.trace)
     sampler = _maybe_metrics(
-        cluster, deployment, opts, "create", impl, n_clients, n_servers,
-        creates_per_client=creates_per_client,
+        cluster, deployment, opts,
+        analytic_horizon(
+            kind, impl, n_clients, n_servers, cluster.spec, cluster.config,
+            state_bytes, creates_per_client,
+        ),
     )
-    main = create_main(checkpointer, creates_per_client)
-    results = app.run(main)
+    results = app.run(
+        _rank_main(kind, checkpointer, injector, state_bytes, creates_per_client)
+    )
     max_elapsed = max(r.elapsed for r in results)
-    total_creates = n_clients * creates_per_client
-    extra = _drain_tier(deployment)
-    extra.update(_kernel_stats(cluster))
-    extra.update(_collapse_stats(app))
-    extra["creates_per_s"] = total_creates / max_elapsed
-    if injector is not None:
-        injector.finish()
-        extra.update(injector.stats())
-    fault_log = injector.log if injector is not None else None
-    metrics_doc = _finish_metrics(sampler, fault_log)
-    if sampler is not None:
-        extra.update(sampler.stats())
+    mean_elapsed = sum(r.elapsed for r in results) / len(results)
+    outputs: Dict[str, float] = {}
+    if kind == "create":
+        outputs["creates_per_s"] = n_clients * creates_per_client / max_elapsed
+    extra, fault_log, metrics_doc = _collect(
+        cluster, deployment, app, injector, sampler, outputs
+    )
     return TrialResult(
         impl=impl,
         n_clients=n_clients,
         n_servers=n_servers,
-        state_bytes=0,
+        state_bytes=state_bytes,
         max_elapsed=max_elapsed,
-        mean_elapsed=sum(r.elapsed for r in results) / len(results),
-        throughput_mb_s=0.0,
+        mean_elapsed=mean_elapsed,
+        throughput_mb_s=(n_clients * state_bytes / MiB) / max_elapsed,
+        create_max_elapsed=(
+            max(r.create_elapsed for r in results) if kind == "checkpoint" else 0.0
+        ),
         extra=extra,
         trace=tracer.spans if tracer is not None else None,
         fault_log=fault_log,
         metrics=metrics_doc,
     )
+
+
+def _rank_main(kind: str, checkpointer, injector, state_bytes: int, creates_per_client: int):
+    """The per-rank program of one *kind* of trial (``checkpoint``/``create``).
+
+    A checkpoint under fault injection gets :data:`CKPT_ATTEMPTS`
+    re-drives (see :func:`checkpoint_main`).
+    """
+    if kind == "checkpoint":
+        attempts = CKPT_ATTEMPTS if injector is not None else 1
+        return checkpoint_main(checkpointer, state_bytes, attempts, injector)
+    return create_main(checkpointer, creates_per_client)
 
 
 def checkpoint_main(checkpointer, state_bytes: int, attempts: int = 1, injector=None):
@@ -404,25 +398,16 @@ def _maybe_trace(cluster, trace: bool):
     return Tracer.install(cluster.env)
 
 
-def _maybe_metrics(
-    cluster,
-    deployment,
-    opts: RunOptions,
-    kind: str,
-    impl: str,
-    n_clients: int,
-    n_servers: int,
-    state_bytes: int = 0,
-    creates_per_client: int = 1,
-):
+def _maybe_metrics(cluster, deployment, opts: RunOptions, horizon: float):
     """Install the metrics registry + sampler when the trial opts in.
 
     The sampling period is ``opts.metrics_period`` when explicit, else
-    derived from the analytic horizon — a model quantity, so serial,
-    process-pool, and sharded executions of one spec land on the same
-    grid.  Must run after :func:`_build` (the injector is already on
-    ``env.faults``, so the fault-pressure gauges see it) and before the
-    workload launches (``t0`` anchors the grid at setup time).
+    derived from *horizon*, the caller's model-predicted run length — a
+    model quantity, so serial, process-pool, and sharded executions of
+    one spec land on the same grid.  Must run after the fault injector
+    is on ``env.faults`` (so the fault-pressure gauges see it) and
+    before the workload launches (``t0`` anchors the grid at setup
+    time).
     """
     if not opts.metrics:
         return None
@@ -432,30 +417,43 @@ def _maybe_metrics(
         default_period,
         install_standard_instruments,
     )
-    from .analytic import analytic_horizon
 
     period = opts.metrics_period
     if period is None:
-        horizon = analytic_horizon(
-            kind, impl, n_clients, n_servers, cluster.spec, cluster.config,
-            state_bytes, creates_per_client,
-        )
         period = default_period(horizon)
     registry = MetricsRegistry.install(cluster.env)
     install_standard_instruments(registry, cluster, deployment)
     return Sampler(registry, period).start()
 
 
-def _finish_metrics(sampler, fault_log: Optional[list]) -> Optional[dict]:
-    """Close the sampler and export the trial's metrics document."""
-    if sampler is None:
-        return None
-    from ..metrics import build_doc, evaluate_health
+def _collect(cluster, deployment, app, injector, sampler, outputs: Dict[str, float]):
+    """Close one finished trial; return its ``(extra, fault_log, metrics)``.
 
-    sampler.finish()
-    doc = build_doc(sampler.registry, sampler)
-    doc["health"] = evaluate_health(doc, fault_log=fault_log).to_dict()
-    return doc
+    The workload's measured window has ended; the buffer tier keeps
+    draining in the background, so its drain barrier runs (and charges
+    its tail) first, then the kernel and collapse stats are read, the
+    trial's own *outputs* are added, and only then do the injector and
+    the sampler close their windows — the health verdict needs the
+    finished fault log.  ``app`` is ``None`` for trials that drive no
+    :class:`~repro.parallel.app.ParallelApp`.
+    """
+    extra = _drain_tier(deployment)
+    extra.update(_kernel_stats(cluster))
+    extra.update(_collapse_stats(app))
+    extra.update(outputs)
+    if injector is not None:
+        injector.finish()
+        extra.update(injector.stats())
+    fault_log = injector.log if injector is not None else None
+    metrics_doc = None
+    if sampler is not None:
+        from ..metrics import build_doc, evaluate_health
+
+        sampler.finish()
+        metrics_doc = build_doc(sampler.registry, sampler)
+        metrics_doc["health"] = evaluate_health(metrics_doc, fault_log=fault_log).to_dict()
+        extra.update(sampler.stats())
+    return extra, fault_log, metrics_doc
 
 
 def _drain_tier(deployment) -> Dict[str, float]:
@@ -479,7 +477,7 @@ def _kernel_stats(cluster) -> Dict[str, float]:
 
 def _collapse_stats(app) -> Dict[str, float]:
     """Collapse-plan summary for the trial record (empty when exact)."""
-    if not app.collapse:
+    if app is None or not app.collapse:
         return {}
     mults = [ctx.multiplicity for ctx in app.contexts]
     return {

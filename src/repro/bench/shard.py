@@ -34,14 +34,13 @@ runs produce bit-identical merged results — with or without a usable
 Sharding is requested with ``RunOptions(shards=N)`` / ``--shards N`` /
 ``REPRO_SHARD=N`` (``0`` and ``1`` mean single-process).  Runs that
 need a global timeline (fault plans, tracing, ``lustre-shared``'s
-all-to-all striping) fall back to single-process execution with a
-one-time warning.
+all-to-all striping, the burst-buffer tier's drain barrier) fall back
+to single-process execution with a one-time warning.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
@@ -50,23 +49,17 @@ from ..machine.spec import MachineSpec
 from ..sim.config import RunOptions, SimConfig
 from ..units import MiB
 from .analytic import analytic_horizon
+from .executor import _warn_once
 from .harness import (
     TrialResult,
     _build,
-    _collapse_stats,
-    _finish_metrics,
-    _kernel_stats,
+    _collect,
     _maybe_metrics,
-    checkpoint_main,
-    create_main,
+    _rank_main,
+    _run_lifecycle,
 )
 
-__all__ = [
-    "ShardPlan",
-    "plan_shards",
-    "run_sharded_checkpoint_trial",
-    "run_sharded_create_trial",
-]
+__all__ = ["ShardPlan", "plan_shards", "run_sharded"]
 
 #: Windows the horizon estimate is divided into (barrier count target).
 TARGET_WINDOWS = 16
@@ -75,9 +68,6 @@ TARGET_WINDOWS = 16
 #: wildly short, the remainder of the run finishes un-windowed rather
 #: than barrier-spinning forever.
 MAX_WINDOWS = 512
-
-#: Fallback reasons already warned about (one warning per reason).
-_FALLBACK_WARNED: set = set()
 
 
 @dataclass(frozen=True)
@@ -117,17 +107,6 @@ def plan_shards(
     return plans
 
 
-def _warn_fallback(reason: str) -> None:
-    if reason in _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED.add(reason)
-    warnings.warn(
-        f"sharded execution unavailable ({reason}); running single-process",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-
-
 def _shardable(impl: str, opts: RunOptions) -> Optional[str]:
     """``None`` when the run can shard, else the fallback reason."""
     if opts.faults is not None:
@@ -136,19 +115,13 @@ def _shardable(impl: str, opts: RunOptions) -> Optional[str]:
         return "tracing needs a single span timeline"
     if impl == "lustre-shared":
         return "shared-file striping couples every rank to every OST"
+    if opts.tiers is not None and opts.tiers.enabled:
+        return "the buffer tier drains on the global timeline"
     return None
 
 
-def _window_length(
-    kind: str,
-    impl: str,
-    plan: ShardPlan,
-    spec: MachineSpec,
-    config: SimConfig,
-    state_bytes: int,
-    creates_per_client: int,
-) -> float:
-    """Deterministic window schedule from the analytic checkpoint model.
+def _window_length(horizon: float, spec: MachineSpec) -> float:
+    """Deterministic window schedule from the shard's analytic horizon.
 
     The conservative-sync lower bound is the fabric's minimum wire
     latency: nothing can cross shards faster, so a window can never
@@ -160,10 +133,6 @@ def _window_length(
         spec.io_spec.nic.latency,
         spec.service_spec.nic.latency,
     ) + spec.hop_latency
-    horizon = analytic_horizon(
-        kind, impl, plan.n_clients, plan.n_servers, spec, config,
-        state_bytes, creates_per_client,
-    )
     return max(horizon / TARGET_WINDOWS, wire_min, 1e-6)
 
 
@@ -195,28 +164,24 @@ def _simulate_shard(
         txn_fanout_scale=plan.txn_fanout_scale,
     )
     opts_local = replace(opts, shards=1)
-    cluster, deployment, checkpointer, app, _injector = _build(
+    cluster, deployment, checkpointer, app, injector = _build(
         impl, plan.n_clients, plan.n_servers, plan.seed, spec, config,
         opts=opts_local, collapse_state_bytes=state_bytes, **deploy_kwargs
     )
     env = cluster.env
+    horizon = analytic_horizon(
+        kind, impl, plan.n_clients, plan.n_servers, spec, config,
+        state_bytes, creates_per_client,
+    )
     # opts.metrics_period was pinned by the parent from the GLOBAL
-    # analytic horizon (see _run_sharded), so every shard samples on the
+    # analytic horizon (see run_sharded), so every shard samples on the
     # identical tick grid and the merge is a plain elementwise sum.
-    sampler = _maybe_metrics(
-        cluster, deployment, opts_local, kind, impl, plan.n_clients,
-        plan.n_servers, state_bytes=state_bytes,
-        creates_per_client=creates_per_client,
+    sampler = _maybe_metrics(cluster, deployment, opts_local, horizon)
+    procs = app.launch(
+        _rank_main(kind, checkpointer, injector, state_bytes, creates_per_client)
     )
-    if kind == "checkpoint":
-        main = checkpoint_main(checkpointer, state_bytes)
-    else:
-        main = create_main(checkpointer, creates_per_client)
-    procs = app.launch(main)
     done = env.all_of(procs)
-    window = _window_length(
-        kind, impl, plan, spec, config, state_bytes, creates_per_client
-    )
+    window = _window_length(horizon, spec)
     t_next = window
     while not done.triggered and env.window_barriers < MAX_WINDOWS:
         gate = env.timeout(t_next - env.now)
@@ -230,11 +195,9 @@ def _simulate_shard(
     if not done.triggered:  # pragma: no cover - horizon estimate too short
         env.run(done)
     results = [p.value for p in procs]
-    stats = _kernel_stats(cluster)
-    stats.update(_collapse_stats(app))
-    metrics_doc = _finish_metrics(sampler, None)
-    if sampler is not None:
-        stats.update(sampler.stats())
+    stats, _fault_log, metrics_doc = _collect(
+        cluster, deployment, app, injector, sampler, {}
+    )
     return {
         "count": len(results),
         "sum_elapsed": sum(r.elapsed for r in results),
@@ -460,33 +423,37 @@ def _merge_metrics(docs: List[Optional[dict]]) -> Optional[dict]:
     return merged
 
 
-def _run_sharded(
+def run_sharded(
     kind: str,
     impl: str,
     n_clients: int,
     n_servers: int,
-    state_bytes: int,
-    creates_per_client: int,
     seed: int,
     spec: Optional[MachineSpec],
     config: Optional[SimConfig],
-    opts: RunOptions,
+    opts: Optional[RunOptions],
     deploy_kwargs: Dict[str, Any],
+    state_bytes: int = 0,
+    creates_per_client: int = 0,
 ) -> TrialResult:
+    """One Figure-9 (``kind="checkpoint"``) or Figure-10 (``"create"``)
+    trial split over ``opts.shards`` worker processes.
+
+    Runs that cannot shard (see :func:`_shardable`) warn once per reason
+    and run the single-process trial instead.
+    """
+    opts = (opts or RunOptions()).resolved()
     reason = _shardable(impl, opts)
     if reason is not None:
-        _warn_fallback(reason)
-        from .harness import run_checkpoint_trial, run_create_trial
-
-        single = replace(opts, shards=1)
-        if kind == "checkpoint":
-            return run_checkpoint_trial(
-                impl, n_clients, n_servers, state_bytes=state_bytes, seed=seed,
-                spec=spec, config=config, options=single, **deploy_kwargs
-            )
-        return run_create_trial(
-            impl, n_clients, n_servers, creates_per_client=creates_per_client,
-            seed=seed, spec=spec, config=config, options=single, **deploy_kwargs
+        _warn_once(
+            f"shard-fallback:{reason}",
+            f"sharded execution unavailable ({reason}); running single-process",
+            stacklevel=5,
+        )
+        return _run_lifecycle(
+            kind, impl, n_clients, n_servers, seed, spec, config,
+            replace(opts, shards=1), deploy_kwargs, state_bytes=state_bytes,
+            creates_per_client=creates_per_client,
         )
     if opts.metrics and opts.metrics_period is None:
         # Pin the sampling grid from the GLOBAL analytic horizon before
@@ -519,42 +486,4 @@ def _run_sharded(
     return _merge(
         kind, impl, n_clients, n_servers, state_bytes, creates_per_client,
         payloads,
-    )
-
-
-def run_sharded_checkpoint_trial(
-    impl: str,
-    n_clients: int,
-    n_servers: int,
-    state_bytes: int,
-    seed: int,
-    spec: Optional[MachineSpec] = None,
-    config: Optional[SimConfig] = None,
-    opts: Optional[RunOptions] = None,
-    **deploy_kwargs,
-) -> TrialResult:
-    """One Figure-9 dump split over ``opts.shards`` worker processes."""
-    opts = (opts or RunOptions()).resolved()
-    return _run_sharded(
-        "checkpoint", impl, n_clients, n_servers, state_bytes, 0,
-        seed, spec, config, opts, deploy_kwargs,
-    )
-
-
-def run_sharded_create_trial(
-    impl: str,
-    n_clients: int,
-    n_servers: int,
-    creates_per_client: int,
-    seed: int,
-    spec: Optional[MachineSpec] = None,
-    config: Optional[SimConfig] = None,
-    opts: Optional[RunOptions] = None,
-    **deploy_kwargs,
-) -> TrialResult:
-    """One Figure-10 create phase split over ``opts.shards`` workers."""
-    opts = (opts or RunOptions()).resolved()
-    return _run_sharded(
-        "create", impl, n_clients, n_servers, 0, creates_per_client,
-        seed, spec, config, opts, deploy_kwargs,
     )

@@ -247,8 +247,17 @@ def _export_trace(result, path: str) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; bad input (a missing or malformed file, an
+    invalid grid point) prints ``repro: error: ...`` and returns 2."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (OSError, ValueError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table1":
         from .machine import table1_rows
 

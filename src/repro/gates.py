@@ -82,6 +82,11 @@ def _drift(reference, candidate, tol: float):
     return max(rels, default=0.0), drifted
 
 
+def _total(outcomes, key: str) -> int:
+    """Sum of one integer ``TrialResult.extra`` counter over a sweep."""
+    return int(sum(o.result.extra.get(key, 0) for o in outcomes))
+
+
 # --------------------------------------------------------------- bench / scale
 
 
@@ -219,8 +224,8 @@ def gate_flow() -> List[Check]:
         "worst_rel_err": worst,
         "tolerance": FLOW_REL_TOL,
         "drifted": drifted,
-        "events_exact": sum(o.events_processed for o in exact),
-        "events_flow": sum(o.events_processed for o in flowed),
+        "events_exact": _total(exact, "events_processed"),
+        "events_flow": _total(flowed, "events_processed"),
     }]
 
 
@@ -250,7 +255,7 @@ def gate_shard() -> List[Check]:
             "worst_rel_err": worst,
             "tolerance": FF_REL_TOL,
             "drifted": drifted,
-            "fast_forwarded": sum(o.events_fast_forwarded for o in fast),
+            "fast_forwarded": _total(fast, "events_fast_forwarded"),
         },
         {
             "check": "shard-tolerance",
@@ -259,7 +264,7 @@ def gate_shard() -> List[Check]:
             "sharded": sharded.value,
             "rel_err": rel,
             "tolerance": SHARD_REL_TOL,
-            "window_barriers": sharded.window_barriers,
+            "window_barriers": int(sharded.result.extra["window_barriers"]),
         },
         {
             "check": "shard-repeat",
@@ -690,8 +695,8 @@ def _check_buffer_crossover() -> Check:
         _buffer_grid(), jobs=JOBS, label="buffer-crossover", record=True
     )
     speedup = fits.value / direct.value if direct.value else 0.0
-    fs = fits.buffer_summary or {}
-    ls = limited.buffer_summary or {}
+    fs = fits.result.extra
+    ls = limited.result.extra
     return {
         "check": "crossover",
         "ok": (

@@ -511,7 +511,7 @@ def run_workload_trial(
     """
     from dataclasses import replace
 
-    from ..bench.harness import TrialResult, _kernel_stats
+    from ..bench.harness import TrialResult, _collect, _maybe_metrics
 
     opts = (options or RunOptions()).resolved()
     if workload is None:
@@ -548,29 +548,16 @@ def run_workload_trial(
         from ..faults import FaultInjector
 
         injector = FaultInjector(cluster, deployment, opts.faults).install()
-    sampler = None
-    if opts.metrics:
-        from ..metrics import (
-            MetricsRegistry,
-            Sampler,
-            default_period,
-            install_standard_instruments,
-        )
-
-        period = opts.metrics_period
-        if period is None:
-            period = default_period(workload.horizon)
-        registry = MetricsRegistry.install(cluster.env)
-        install_standard_instruments(registry, cluster, deployment)
-        sampler = Sampler(registry, period).start()
+    sampler = _maybe_metrics(cluster, deployment, opts, workload.horizon)
 
     engine = WorkloadEngine(cluster, deployment, workload, collapse=collapse)
     engine.run()
 
-    extra = _kernel_stats(cluster)
-    extra["tenants_simulated"] = float(workload.total_tenants)
-    extra["sessions_simulated"] = float(n_sessions)
-    extra["max_class_multiplicity"] = float(engine.max_class_multiplicity())
+    outputs = {
+        "tenants_simulated": float(workload.total_tenants),
+        "sessions_simulated": float(n_sessions),
+        "max_class_multiplicity": float(engine.max_class_multiplicity()),
+    }
     total_ops = 0.0
     total_bytes = 0.0
     rows = engine.class_rows()
@@ -578,21 +565,12 @@ def run_workload_trial(
         total_ops += row["ops"]
         total_bytes += row["bytes"]
         for field_name, value in row.items():
-            extra[f"wl.{name}.{field_name}"] = value
+            outputs[f"wl.{name}.{field_name}"] = value
     span = engine.span
-    extra["ops_per_s"] = total_ops / span
-    if injector is not None:
-        injector.finish()
-        extra.update(injector.stats())
-    fault_log = injector.log if injector is not None else None
-    metrics_doc = None
-    if sampler is not None:
-        from ..metrics import build_doc, evaluate_health
-
-        sampler.finish()
-        metrics_doc = build_doc(sampler.registry, sampler)
-        metrics_doc["health"] = evaluate_health(metrics_doc, fault_log=fault_log).to_dict()
-        extra.update(sampler.stats())
+    outputs["ops_per_s"] = total_ops / span
+    extra, fault_log, metrics_doc = _collect(
+        cluster, deployment, None, injector, sampler, outputs
+    )
     return TrialResult(
         impl="lwfs",
         n_clients=workload.total_tenants,

@@ -3,15 +3,27 @@
 import json
 import os
 
+import pytest
+
 from repro.bench.cache import (
     CACHE_SCHEMA,
     TrialCache,
     default_cache_dir,
     trial_key,
 )
-from repro.bench.executor import checkpoint_spec, create_spec, run_trials
+from repro.bench.executor import (
+    _trial_record,
+    checkpoint_spec,
+    create_spec,
+    run_trials,
+    workload_spec,
+)
 from repro.sim.config import RunOptions
+from repro.storage.buffer.tier import load_tiers
 from repro.units import MiB
+from repro.workload import TenantClass, WorkloadSpec
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 
 def _specs():
@@ -19,6 +31,27 @@ def _specs():
         checkpoint_spec("lwfs", 2, 2, seed=100, state_bytes=2 * MiB),
         checkpoint_spec("lwfs", 2, 2, seed=101, state_bytes=2 * MiB),
         create_spec("lwfs", 2, 2, seed=100, creates_per_client=4),
+    ]
+
+
+def _warm_cold_specs():
+    """One spec per trial kind, exercising the tier and metrics payloads."""
+    tiers = load_tiers(os.path.join(EXAMPLES, "tiers", "nvram_node_local.json"))
+    mix = WorkloadSpec(
+        classes=(
+            TenantClass(name="meta", tenants=40, rate=80.0,
+                        op_mix=(("create", 1.0), ("getattr", 1.0)),
+                        size_bytes=4096, representatives=2),
+        ),
+        horizon=0.5, quantum=0.05, warmup=0.1,
+    )
+    return [
+        checkpoint_spec(
+            "lwfs", 8, 4, seed=100, state_bytes=2 * MiB,
+            options=RunOptions(collapse=True, tiers=tiers, metrics=True),
+        ),
+        create_spec("lwfs", 2, 2, seed=100, creates_per_client=4),
+        workload_spec(mix, 2, seed=100),
     ]
 
 
@@ -97,8 +130,21 @@ class TestRunTrialsCaching:
         for c, w in zip(cold, warm):
             assert w.value == c.value
             assert w.unit == c.unit
-            assert w.events_processed == c.events_processed
-            assert w.sim_seconds == c.sim_seconds
+            assert w.result.extra["events_processed"] == c.result.extra["events_processed"]
+            assert w.result.extra["sim_seconds"] == c.result.extra["sim_seconds"]
+
+    @pytest.mark.parametrize("spec", _warm_cold_specs(), ids=lambda s: s.kind)
+    def test_warm_result_equals_cold(self, tmp_path, spec):
+        store = TrialCache(root=str(tmp_path))
+        [cold] = run_trials([spec], jobs=1, cache=store)
+        [warm] = run_trials([spec], jobs=1, cache=store)
+        assert not cold.cached and warm.cached
+        assert warm.result == cold.result
+        assert (warm.value, warm.unit) == (cold.value, cold.unit)
+        cold_row, warm_row = _trial_record(cold), _trial_record(warm)
+        for row in (cold_row, warm_row):
+            del row["wall_clock_s"], row["cached"]
+        assert warm_row == cold_row
 
     def test_partial_warm_run(self, tmp_path):
         store = TrialCache(root=str(tmp_path))
@@ -128,7 +174,7 @@ class TestRunTrialsCaching:
         first = run_trials([spec], jobs=1, cache=store)
         second = run_trials([spec], jobs=1, cache=store)
         assert not first[0].cached and not second[0].cached
-        assert second[0].trace is not None
+        assert second[0].result.trace is not None
         assert not any(tmp_path.iterdir())
 
     def test_entry_layout_on_disk(self, tmp_path):

@@ -62,8 +62,8 @@ class TestDeterminism:
         for s, p in zip(serial, parallel):
             assert s.value == p.value  # bit-identical, no approx
             assert s.unit == p.unit
-            assert s.events_processed == p.events_processed
-            assert s.peak_event_queue == p.peak_event_queue
+            assert s.result.extra["events_processed"] == p.result.extra["events_processed"]
+            assert s.result.extra["peak_event_queue"] == p.result.extra["peak_event_queue"]
 
     def test_measure_point_jobs_invariant(self):
         a = measure_point("lwfs", 2, 2, trials=3, state_bytes=SIZE, jobs=1)

@@ -64,6 +64,21 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "/nonexistent.json"],
+        ["checkpoint", "--faults", "/nonexistent.json"],
+        ["checkpoint", "--tiers", "/nonexistent.json"],
+        ["traffic", "--workload", "/nonexistent.json"],
+        ["checkpoint", "--clients", "0"],
+        ["create", "--servers", "0"],
+    ], ids=" ".join)
+    def test_bad_input_is_a_one_line_diagnostic(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("repro: error: ")
+        assert "Traceback" not in err
+
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out

@@ -10,8 +10,8 @@ Contract under test:
   schedule is derived analytically, and the barrier exchanges no
   simulation state;
 * **fallback** — runs that need one global timeline (fault plans,
-  tracing, ``lustre-shared``) fall back to single-process execution
-  with a one-time warning per reason;
+  tracing, ``lustre-shared``, the burst-buffer tier's drain) fall back
+  to single-process execution with a one-time warning per reason;
 * **fast-forward under chaos** — a fault plan disables the analytic
   epoch-skip engine, so every chaos scenario is bit-identical with
   ``fastforward=True`` and ``False`` (the fallback *is* the reference);
@@ -19,24 +19,27 @@ Contract under test:
   count, and the trial-cache key sees both scale-out kill switches.
 """
 
+import os
 import warnings
 
 import pytest
 
-from repro.bench import run_checkpoint_trial, run_create_trial
-from repro.bench import shard
+from repro.bench import executor, run_checkpoint_trial, run_create_trial
 from repro.bench.cache import trial_key
 from repro.bench.executor import _clamp_jobs_for_shards, checkpoint_spec
 from repro.bench.shard import plan_shards
 from repro.gates import SHARD_REL_TOL
 from repro.machine.presets import red_storm
 from repro.sim.config import RunOptions, SimConfig
+from repro.storage.buffer.tier import load_tiers
 from repro.units import MiB
 
 from ..faults.test_injection import SCENARIOS
 
 #: The CI gate's Red Storm slice (see repro.gates._shard_grid).
 N, M, STATE, SEED = 128, 32, 8 * MiB, 500
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 #: Same tolerance the ``shard`` gate enforces.
 REL_TOL = SHARD_REL_TOL
@@ -100,7 +103,7 @@ class TestShardAccuracy:
 class TestShardFallback:
     @pytest.fixture(autouse=True)
     def _fresh_warning_state(self, monkeypatch):
-        monkeypatch.setattr(shard, "_FALLBACK_WARNED", set())
+        monkeypatch.setattr(executor, "_WARNED_KEYS", set())
 
     def test_faults_fall_back(self):
         from repro.faults import FaultPlan
@@ -128,6 +131,24 @@ class TestShardFallback:
                 options=RunOptions(shards=2),
             )
         assert "shards" not in r.extra
+
+    def test_buffer_tier_falls_back(self):
+        # The tier's drain barrier runs on the global timeline: a sharded
+        # run must not drop it (and with it every buffer_* stat).
+        tiers = load_tiers(os.path.join(EXAMPLES, "tiers", "nvram_node_local.json"))
+
+        def run(shards):
+            return run_checkpoint_trial(
+                "lwfs", 16, 4, state_bytes=STATE, seed=SEED,
+                options=RunOptions(tiers=tiers, shards=shards),
+            )
+
+        with pytest.warns(RuntimeWarning, match="buffer tier"):
+            r = run(2)
+        e = r.extra
+        assert e["buffer_absorbed_mb"] == pytest.approx(
+            e["buffer_drained_mb"] + e["buffer_lost_mb"], rel=1e-9)
+        assert e == run(1).extra
 
     def test_warns_once_per_reason(self):
         with pytest.warns(RuntimeWarning):

@@ -26,6 +26,7 @@ import pytest
 from repro.bench import run_checkpoint_trial
 from repro.bench.executor import checkpoint_spec, run_trials
 from repro.machine.presets import red_storm
+from repro.metrics import metrics_summary
 from repro.sim.config import RunOptions
 from repro.units import MiB
 
@@ -102,13 +103,13 @@ class TestSerialVsJobs:
         pooled = run_trials(specs, jobs=2)
         for s, p in zip(serial, pooled):
             assert s.value == p.value
-            assert s.sim_seconds == p.sim_seconds
-            assert s.metrics is not None and p.metrics is not None
-            ds, dp = _by_name(s.metrics), _by_name(p.metrics)
+            assert s.result.extra["sim_seconds"] == p.result.extra["sim_seconds"]
+            assert s.result.metrics is not None and p.result.metrics is not None
+            ds, dp = _by_name(s.result.metrics), _by_name(p.result.metrics)
             assert set(ds) == set(dp)
             for name in ds:
                 assert _series(ds[name]) == _series(dp[name]), name
-            assert s.metrics_summary == p.metrics_summary
+            assert metrics_summary(s.result.metrics) == metrics_summary(p.result.metrics)
 
 
 class TestCollapse:

@@ -13,7 +13,7 @@ import pytest
 
 import repro.network.fabric as fabric_mod
 from repro.bench import run_checkpoint_trial
-from repro.bench.executor import checkpoint_spec, run_trials
+from repro.bench.executor import _trial_record, checkpoint_spec, run_trials
 from repro.sim.config import RunOptions
 from repro.units import MiB
 
@@ -57,9 +57,9 @@ def test_trace_identical_serial_vs_parallel_sweep():
     parallel = run_trials(specs, jobs=2)
     for s, p in zip(serial, parallel):
         assert s.value == p.value
-        assert [sp.key() for sp in s.trace] == [sp.key() for sp in p.trace]
-        assert s.trace_summary == p.trace_summary
-        assert s.sim_seconds == p.sim_seconds
+        assert [sp.key() for sp in s.result.trace] == [sp.key() for sp in p.result.trace]
+        assert _trial_record(s)["trace_summary"] == _trial_record(p)["trace_summary"]
+        assert s.result.extra["sim_seconds"] == p.result.extra["sim_seconds"]
 
 
 def test_tracing_does_not_perturb_the_simulation():

@@ -8,8 +8,9 @@ Contract under test:
 * **cache identity** — the trial key folds in the workload signature
   and the ``REPRO_TENANT_COLLAPSE`` kill switch, so a cached
   clean-traffic outcome can never answer for a different mix or mode;
-* **reporting** — ``TrialOutcome`` carries ``tenants_simulated`` /
-  ``max_class_multiplicity`` through cache round-trips.
+* **reporting** — the outcome's ``result.extra`` carries
+  ``tenants_simulated`` / ``max_class_multiplicity`` through cache
+  round-trips.
 """
 
 import pytest
@@ -36,8 +37,9 @@ def _mix(tenants=300, rate=150.0):
 
 
 def _outcome_row(o):
-    return (o.value, o.unit, o.sim_seconds, o.events_processed,
-            o.tenants_simulated, o.max_class_multiplicity)
+    e = o.result.extra
+    return (o.value, o.unit, e["sim_seconds"], e["events_processed"],
+            e["tenants_simulated"], e["max_class_multiplicity"])
 
 
 class TestParallelDeterminism:
@@ -56,8 +58,8 @@ class TestParallelDeterminism:
                         jobs=1, label="wl-test", record=False, cache=False)
         assert o.unit == "ops/s"
         assert o.value > 0
-        assert o.tenants_simulated == 600
-        assert o.max_class_multiplicity == 75  # 300 tenants / 4 representatives
+        assert o.result.extra["tenants_simulated"] == 600
+        assert o.result.extra["max_class_multiplicity"] == 75  # 300 tenants / 4 representatives
 
 
 class TestCacheIdentity:
