@@ -39,6 +39,7 @@ from .bench import (
     run_create_trial,
 )
 from .bench.plot import chart_sweep
+from .errors import ReproError
 from .sim.config import RunOptions
 from .units import MiB
 
@@ -248,13 +249,19 @@ def _export_trace(result, path: str) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand; bad input (a missing or malformed file, an
-    invalid grid point) prints ``repro: error: ...`` and returns 2."""
+    invalid grid point) prints ``repro: error: ...`` and returns 2, and
+    a simulated run that fails (a :class:`~repro.errors.ReproError`,
+    e.g. a checkpoint that exhausts its attempts) prints the same kind
+    of line and returns 3."""
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (OSError, ValueError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..errors import ReproError
 from ..lwfs.capabilities import OpMask
 from ..lwfs.ids import ObjectID
 from ..parallel.app import RankContext
@@ -70,7 +71,7 @@ def _note_tenant_bytes(ctx: RankContext, nbytes: int, mult: int) -> None:
     m.count(f"tenant.g{group}.bytes", float(nbytes), weight=float(mult))
 
 
-class CheckpointError(RuntimeError):
+class CheckpointError(ReproError, RuntimeError):
     """The collective checkpoint failed (on some rank) and was rolled back.
 
     Raised on *every* rank, so the application can retry the checkpoint

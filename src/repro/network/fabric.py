@@ -15,7 +15,7 @@ which is how failure-injection experiments observe lost servers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import LinkDown, NetworkError, NodeFailure
 from ..machine.node import Node
@@ -62,6 +62,7 @@ class Fabric:
         topology: str = "crossbar",
         hop_latency: float = 0.0,
         n_nodes_hint: Optional[int] = None,
+        resolve: Optional[Callable[[int], Node]] = None,
     ) -> None:
         self.env = env
         self._topology_name = topology
@@ -69,6 +70,9 @@ class Fabric:
         self._nodes: Dict[int, Node] = {}
         self._topology: Optional[Topology] = None
         self._n_nodes_hint = n_nodes_hint
+        #: Builds and attaches an unseen id below ``n_nodes_hint``, for an
+        #: owner that builds nodes on first use (``SimCluster.node``).
+        self._resolve = resolve
         self.counters = Counter()
         self._flow_network = None
 
@@ -91,13 +95,16 @@ class Fabric:
         nic = NIC(self.env, node)
         node.nic = nic
         self._nodes[node.node_id] = node
-        self._topology = None  # re-derive lazily for the new size
+        if self._n_nodes_hint is None:
+            self._topology = None  # re-derive lazily for the new size
         return nic
 
     def node(self, node_id: int) -> Node:
         try:
             return self._nodes[node_id]
         except KeyError:
+            if self._resolve is not None and 0 <= node_id < self._n_nodes_hint:
+                return self._resolve(node_id)
             raise NetworkError(f"unknown node id {node_id}") from None
 
     @property

@@ -8,7 +8,7 @@ nodes host multiple client processes") and runs one generator per rank.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from ..machine.node import Node
 from ..simkernel import Environment
@@ -130,7 +130,7 @@ class ParallelApp:
         self,
         env: Environment,
         fabric,
-        compute_nodes: List[Node],
+        compute_nodes: Sequence[Node],
         n_ranks: int,
         collapse: Optional[List[tuple]] = None,
     ) -> None:

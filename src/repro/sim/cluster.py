@@ -8,7 +8,8 @@ ranks on compute nodes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections.abc import Sequence
+from typing import Callable, Dict, Optional
 
 from ..machine.node import Node
 from ..machine.spec import MachineSpec, NodeKind
@@ -17,7 +18,26 @@ from ..network.fabric import Fabric
 from ..storage.device import RaidDevice
 from .config import RunOptions, SimConfig
 
-__all__ = ["SimCluster"]
+__all__ = ["NodeRange", "SimCluster"]
+
+
+class NodeRange(Sequence):
+    """One role's nodes: a read-only sequence over a contiguous id range
+    whose nodes are built on first index (see :meth:`SimCluster.node`)."""
+
+    __slots__ = ("_node", "ids")
+
+    def __init__(self, node: Callable[[int], Node], ids: range) -> None:
+        self._node = node
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._node(i) for i in self.ids[index]]
+        return self._node(self.ids[index])
 
 
 class SimCluster:
@@ -26,7 +46,8 @@ class SimCluster:
     Node ids are assigned contiguously: service nodes first, then I/O
     nodes, then compute nodes (so small experiments keep small id spaces
     and mesh coordinates put service/I/O nodes in one corner, as Red
-    Storm does).
+    Storm does).  A node and its NIC are built the first time anyone
+    asks for it, so a collapsed run pays only for its representatives.
     """
 
     def __init__(
@@ -56,47 +77,39 @@ class SimCluster:
             topology=spec.topology,
             hop_latency=spec.hop_latency,
             n_nodes_hint=total,
+            resolve=self.node,
         )
 
-        self.service_nodes: List[Node] = []
-        self.io_nodes: List[Node] = []
-        self.compute_nodes: List[Node] = []
+        self.service_nodes = NodeRange(self.node, range(0, n_service))
+        self.io_nodes = NodeRange(self.node, range(n_service, n_service + n_io))
+        self.compute_nodes = NodeRange(self.node, range(n_service + n_io, total))
         self._by_id: Dict[int, Node] = {}
-
-        nid = 0
-        for _ in range(n_service):
-            nid = self._add(nid, NodeKind.SERVICE)
-        for _ in range(n_io):
-            nid = self._add(nid, NodeKind.IO)
-        for _ in range(n_compute):
-            nid = self._add(nid, NodeKind.COMPUTE)
-
-        if self.config.service_scale != 1.0:
-            # Sharded runs: this worker owns its storage servers outright
-            # but only a proportional slice of the shared MDS/authz
-            # capacity (mean-field split; see repro.bench.shard).
-            for node in self.service_nodes:
-                node.speed = self.config.service_scale
-
-    def _add(self, nid: int, kind: NodeKind) -> int:
-        node_spec = self.spec.spec_for(kind)
-        node = Node(self.env, nid, node_spec)
-        self.fabric.attach(node)
-        self._by_id[nid] = node
-        {
-            NodeKind.SERVICE: self.service_nodes,
-            NodeKind.IO: self.io_nodes,
-            NodeKind.COMPUTE: self.compute_nodes,
-        }[kind].append(node)
-        return nid + 1
 
     # -- accessors ------------------------------------------------------------
     def node(self, node_id: int) -> Node:
-        return self._by_id[node_id]
+        """The node with id *node_id*, built and attached on first use."""
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            if not 0 <= node_id < self.n_nodes:
+                raise
+        if node_id in self.service_nodes.ids:
+            kind = NodeKind.SERVICE
+        else:
+            kind = NodeKind.IO if node_id in self.io_nodes.ids else NodeKind.COMPUTE
+        node = self._by_id[node_id] = Node(self.env, node_id, self.spec.spec_for(kind))
+        if kind is NodeKind.SERVICE:
+            # Sharded runs: this worker owns its storage servers outright
+            # but only a proportional slice of the shared MDS/authz
+            # capacity (mean-field split; see repro.bench.shard).
+            node.speed = self.config.service_scale
+        self.fabric.attach(node)
+        return node
 
     @property
     def n_nodes(self) -> int:
-        return len(self._by_id)
+        """The population size, built or not."""
+        return self.compute_nodes.ids.stop
 
     def make_raid(self, node: Node, name: str, bandwidth: Optional[float] = None) -> RaidDevice:
         """Attach a RAID volume to *node* using its kind's storage spec.

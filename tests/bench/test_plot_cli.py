@@ -79,6 +79,18 @@ class TestCLI:
         assert err.startswith("repro: error: ")
         assert "Traceback" not in err
 
+    def test_failed_simulated_run_exits_3(self, capsys, monkeypatch):
+        # A storage crash without a buffer tier exhausts the checkpoint's
+        # attempts: a simulated-run failure, not bad input.
+        monkeypatch.chdir(REPO_ROOT)
+        argv = ["checkpoint", "--clients", "1296", "--servers", "40", "--state-mb", "64",
+                "--collapse", "--flow", "--faults", "examples/faults/storage_crash.json"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("repro: error: ")
+        assert "Traceback" not in err
+
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
