@@ -24,8 +24,16 @@ with the lazy-cancellation path ON and OFF (``repro.simkernel.core.LAZY``
 reference) into ``BENCH_kernel.json`` at the repo root, which
 the ``kernel`` gate of :mod:`repro.gates` uses as its regression
 baseline (``--record`` reseeds it).
+
+Every baseline row carries ``calib_s``, the mean seconds of perfbench's
+program-independent calibration loop just before and just after the
+run, and the host's ``nproc``.  A figure of merit times the
+calibration seconds is work per calibration loop, which a slower or
+busier host scales about as much as the program, so the gate compares
+that product rather than raw throughput.
 """
 
+import importlib.util
 import json
 import os
 import sys
@@ -55,6 +63,19 @@ CREATES_PER_CLIENT = 64
 
 KERNEL_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_kernel.json")
 KERNEL_SCHEMA = "repro-bench-kernel/v1"
+
+
+def _load_calibration_loop():
+    """perfbench's ``calibration_loop``, loaded from its file so both
+    benchmarks time the same program-independent job."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.calibration_loop
+
+
+calibration_loop = _load_calibration_loop()
 
 
 def _run_uncontended():
@@ -182,35 +203,50 @@ def _with_lazy(flag, fn):
         core.LAZY = saved
 
 
-def record_kernel_baseline(path=KERNEL_JSON, best_of=1):
+def calibrated(name, lazy=True, repeats=5):
+    """Run workload *name* *repeats* times between calibration loops.
+
+    Each run's ``calib_s`` is the mean of the calibration loops just
+    before and just after it, and ``calibrated`` is its figure of merit
+    times ``calib_s``: work per calibration loop, the quantity the
+    ``kernel`` gate compares.  Returns the stats of the run with the
+    median ``calibrated`` value.
+    """
+    calib = [calibration_loop()]
+    runs = []
+    for _ in range(repeats):
+        stats = _with_lazy(lazy, WORKLOADS[name])
+        calib.append(calibration_loop())
+        calib_s = (calib[-2] + calib[-1]) / 2
+        runs.append({**stats, "calib_s": calib_s, "calibrated": stats[fom_key(name)] * calib_s})
+    runs.sort(key=lambda stats: stats["calibrated"])
+    return runs[len(runs) // 2]
+
+
+def record_kernel_baseline(path=KERNEL_JSON, repeats=9):
     """Measure every workload lazy-ON and lazy-OFF into BENCH_kernel.json.
 
     The lazy=False rows are the pre-optimization reference (the eager
     O(n) cancellation path); lazy=True is the shipping configuration and
-    the baseline the perf smoke guard compares against.
+    the baseline the perf smoke guard compares against.  Each row is the
+    median of *repeats* calibrated runs (see :func:`calibrated`), with
+    its ``calib_s`` and the host's ``nproc``.
 
-    A ``headline`` section written by :mod:`bench_fastforward_shard`
-    (the 10k-rank speedup record) is preserved across reseeds.
+    Every other top-level section (``headline``, ``traffic``, the pinned
+    ``buffer`` crossover) is preserved across reseeds.
     """
-    headline = None
+    doc = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            headline = json.load(fh).get("headline")
+            doc = json.load(fh)
     except (OSError, ValueError):
         pass
     entries = []
-    for name, fn in WORKLOADS.items():
-        key = fom_key(name)
+    for name in WORKLOADS:
         for lazy in (False, True):
-            best = None
-            for _ in range(best_of):
-                stats = _with_lazy(lazy, fn)
-                if best is None or stats[key] > best[key]:
-                    best = stats
-            entries.append({"workload": name, "lazy": lazy, **best})
-    doc = {"schema": KERNEL_SCHEMA, "entries": entries}
-    if headline is not None:
-        doc["headline"] = headline
+            stats = calibrated(name, lazy, repeats)
+            entries.append({"workload": name, "lazy": lazy, "nproc": os.cpu_count(), **stats})
+    doc = {**doc, "schema": KERNEL_SCHEMA, "entries": entries}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -256,15 +292,16 @@ if __name__ == "__main__":  # pragma: no cover - CLI for the perf guard
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--record", action="store_true",
                         help="write lazy on/off baselines to BENCH_kernel.json")
-    parser.add_argument("--best-of", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=9,
+                        help="calibrated runs per baseline row; the median is kept")
     args = parser.parse_args()
     if args.record:
-        doc = record_kernel_baseline(best_of=args.best_of)
+        doc = record_kernel_baseline(repeats=args.repeats)
         for e in doc["entries"]:
             key = fom_key(e["workload"])
             print(
                 f"{e['workload']:12s} lazy={e['lazy']!s:5s} "
-                f"{e[key]:12,.1f} {key} "
+                f"{e[key]:12,.1f} {key} x {e['calib_s']:.4f} calib_s "
                 f"(skipped {e['events_skipped_cancelled']})"
             )
     else:

@@ -35,10 +35,11 @@ The gates:
 * ``trace`` — one traced checkpoint trial written to
   ``results/trace_quick.json`` and validated against the Chrome
   trace-event schema.
-* ``kernel`` — kernel event throughput (best of
-  :data:`KERNEL_BEST_OF`) against the ``BENCH_kernel.json`` baselines,
-  failing below :data:`KERNEL_THRESHOLD`, plus the pinned burst-buffer
-  crossover record.  Host-sensitive by construction.
+* ``kernel`` — kernel event throughput (median of
+  :data:`KERNEL_REPEATS`) against the ``BENCH_kernel.json`` baselines,
+  both scaled by a program-independent calibration loop, failing below
+  :data:`KERNEL_THRESHOLD`, plus the pinned burst-buffer crossover
+  record.
 
 The ``bench``, ``scale``, ``flow``, ``shard`` and ``buffer`` gates
 record their sweeps in ``BENCH_sweep.json``.
@@ -902,12 +903,12 @@ def gate_trace() -> List[Check]:
 # ---------------------------------------------------------------------- kernel
 
 #: Fail a kernel workload below this fraction of its BENCH_kernel.json
-#: baseline.  Deliberately loose: a smoke guard against order-of-magnitude
-#: regressions (a disabled fast path, an O(n) cancellation sneaking back
-#: in), not a micro-benchmark gate.
-KERNEL_THRESHOLD = 0.7
-#: Best-of-N per workload, to shave scheduler noise.
-KERNEL_BEST_OF = 3
+#: baseline, both taken as work per calibration loop so that host speed
+#: and load cancel out.  Tight enough that a 30% slowdown of
+#: ``Environment.run`` fails the gate.
+KERNEL_THRESHOLD = 0.85
+#: Calibrated runs per workload; the median is compared.
+KERNEL_REPEATS = 5
 
 
 def _check_pinned_buffer(doc: Dict[str, Any]) -> Check:
@@ -943,7 +944,9 @@ def gate_kernel() -> List[Check]:
     """Re-measure the bench_simkernel_events workloads with the shipping
     (lazy-cancellation) kernel against the committed baselines; the
     event-loop workloads guard events/s, the fast-forward and sharded
-    ones ranks per wall-second (see its ``FIGURE_OF_MERIT``)."""
+    ones ranks per wall-second (see its ``FIGURE_OF_MERIT``).  Each
+    figure is multiplied by the seconds of a program-independent
+    calibration loop run around it, on both sides of the ratio."""
     bench_dir = os.path.join(_REPO_ROOT, "benchmarks")
     if bench_dir not in sys.path:
         sys.path.insert(0, bench_dir)
@@ -951,7 +954,7 @@ def gate_kernel() -> List[Check]:
         KERNEL_JSON,
         KERNEL_SCHEMA,
         WORKLOADS,
-        _with_lazy,
+        calibrated,
         fom_key,
     )
 
@@ -970,19 +973,24 @@ def gate_kernel() -> List[Check]:
     baselines = {e["workload"]: e for e in doc.get("entries", []) if e.get("lazy")}
 
     checks: List[Check] = []
-    for name, fn in WORKLOADS.items():
+    for name in WORKLOADS:
         base = baselines.get(name)
         key = fom_key(name)
-        if base is None or key not in base:
-            checks.append({"check": name, "ok": True, "skipped": "no lazy baseline entry"})
+        if base is None or key not in base or "calib_s" not in base:
+            checks.append({"check": name, "ok": False,
+                           "error": "no calibrated lazy baseline entry; re-record with "
+                                    "benchmarks/bench_simkernel_events.py --record"})
             continue
-        best = max(_with_lazy(True, fn)[key] for _ in range(KERNEL_BEST_OF))
-        ratio = best / base[key]
+        stats = calibrated(name, repeats=KERNEL_REPEATS)
+        ratio = stats["calibrated"] / (base[key] * base["calib_s"])
         checks.append({
             "check": name,
             "ok": ratio >= KERNEL_THRESHOLD,
-            key: round(best, 1),
+            key: round(stats[key], 1),
+            "calib_s": round(stats["calib_s"], 4),
             "baseline": base[key],
+            "baseline_calib_s": base["calib_s"],
+            "baseline_nproc": base.get("nproc"),
             "ratio": round(ratio, 3),
             "threshold": KERNEL_THRESHOLD,
         })

@@ -186,7 +186,8 @@ class Environment:
             self._imm_normal.append((at, NORMAL, seq, event))
         else:
             heapq.heappush(self._queue, (at, NORMAL, seq, event))
-        qlen = self._qlen() - self._cancelled_pending
+        qlen = (len(self._queue) + len(self._imm_urgent) + len(self._imm_normal)
+                - self._cancelled_pending)
         if qlen > self._peak_queue:
             self._peak_queue = qlen
         return event
@@ -215,7 +216,8 @@ class Environment:
                 self._imm_normal.append(entry)
         else:
             heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
-        qlen = self._qlen() - self._cancelled_pending
+        qlen = (len(self._queue) + len(self._imm_urgent) + len(self._imm_normal)
+                - self._cancelled_pending)
         if qlen > self._peak_queue:
             self._peak_queue = qlen
 

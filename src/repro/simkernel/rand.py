@@ -44,6 +44,21 @@ class RandomStreams:
         floor = 0.1 * mean
         return value if value > floor else floor
 
+    def jitter_sum(self, name: str, mean: float, rel_sigma: float, n: int) -> float:
+        """The total of *n* :meth:`jitter` draws on substream *name*, drawn
+        in one vectorised call.
+
+        ``Generator.normal(loc, scale, size=n)`` yields the same values as
+        *n* scalar draws and leaves the generator in the same state, the
+        floor applies elementwise, and the sum runs left to right over
+        Python floats, so the total is bit-identical to accumulating the
+        scalar draws one by one (``tests/simkernel/test_properties.py`` pins it).
+        """
+        if mean <= 0:
+            return sum([mean] * n)
+        draws = self.stream(name).normal(mean, rel_sigma * mean, size=n)
+        return sum(np.maximum(draws, 0.1 * mean).tolist())
+
     def uniform(self, name: str, low: float, high: float) -> float:
         return float(self.stream(name).uniform(low, high))
 

@@ -178,10 +178,8 @@ class RaidDevice:
         """
         if self.rng is None or self.jitter <= 0:
             return 1.0
-        total = 0.0
-        for _ in range(max(1, ops)):
-            total += self.rng.jitter(f"{self.name}.write", 1.0, self.jitter)
-        return total / max(1, ops)
+        n = max(1, ops)
+        return self.rng.jitter_sum(f"{self.name}.write", 1.0, self.jitter, n) / n
 
     def begin_stream(self, nbytes: int, ops: int = 1):
         """Admit a bulk write stream: ``handle = yield from begin_stream(n)``.

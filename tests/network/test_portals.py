@@ -115,3 +115,37 @@ class TestValidation:
         ep = install_portals(env, fabric, sender)
         with pytest.raises(NetworkError, match="no portals endpoint"):
             env.run(ep.put(MemoryDescriptor(length=8, payload=b"x"), 50, 0, 1))
+
+
+class TestLazyTables:
+    """Each portal table is built the first time its index is used."""
+
+    def test_fresh_endpoint_holds_no_tables(self, endpoints):
+        assert all(len(ep.tables) == 0 for ep in endpoints)
+
+    def test_attach_builds_exactly_its_table(self, endpoints):
+        server = endpoints[0]
+        me = server.attach(5, 0xAB, MemoryDescriptor(length=8))
+        assert list(server.tables) == [5]
+        assert server.tables[5].entries == [me]
+
+    def test_remote_match_builds_exactly_its_table(self, env, endpoints):
+        server, client = endpoints[0], endpoints[2]
+        with pytest.raises(NetworkError, match="no match entry"):
+            env.run(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 7, 1))
+        assert list(server.tables) == [7]
+        assert server.tables[7].entries == []
+        assert len(client.tables) == 0
+
+    @pytest.mark.parametrize("pt_index", [-1, 64, 1000])
+    def test_out_of_range_index_raises_key_error(self, env, endpoints, pt_index):
+        server, client = endpoints[0], endpoints[2]
+        with pytest.raises(KeyError):
+            server.attach(pt_index, 1, MemoryDescriptor(length=8))
+        with pytest.raises(KeyError):
+            server.detach(pt_index, None)
+        with pytest.raises(KeyError):
+            env.run(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, pt_index, 1))
+        with pytest.raises(KeyError):
+            env.run(server.get(MemoryDescriptor(length=8), 2, pt_index, 1))
+        assert len(server.tables) == 0 and len(client.tables) == 0
