@@ -27,12 +27,15 @@ baseline (``--record`` reseeds it).
 
 Every baseline row carries ``calib_s``, the mean seconds of perfbench's
 program-independent calibration loop just before and just after the
-run, and the host's ``nproc``.  A figure of merit times the
+sample, and the host's ``nproc``.  A sample re-runs a workload shorter
+than :data:`MIN_SAMPLE_S` until its runs add up to that much wall time
+(``runs`` in the row).  A figure of merit times the
 calibration seconds is work per calibration loop, which a slower or
 busier host scales about as much as the program, so the gate compares
 that product rather than raw throughput.
 """
 
+import gc
 import importlib.util
 import json
 import os
@@ -203,24 +206,79 @@ def _with_lazy(flag, fn):
         core.LAZY = saved
 
 
-def calibrated(name, lazy=True, repeats=5):
-    """Run workload *name* *repeats* times between calibration loops.
+#: Processes a workload keeps busy at once (the sharded slice forks one
+#: per shard); its calibration runs that many loops side by side.
+PROCESSES = {"sharded": 2}
 
-    Each run's ``calib_s`` is the mean of the calibration loops just
-    before and just after it, and ``calibrated`` is its figure of merit
-    times ``calib_s``: work per calibration loop, the quantity the
-    ``kernel`` gate compares.  Returns the stats of the run with the
-    median ``calibrated`` value.
+
+def _calibration(processes=1):
+    """Seconds of one calibration loop, timed from a collected heap: the
+    garbage a workload (or the previous loop) leaves behind would
+    otherwise make the loop pay for collections that are not its own.
+
+    With *processes* > 1 that many loops run at once in forked
+    processes and the slowest counts, so a host with a core taken by
+    someone else slows the calibration as much as the parallel workload.
     """
-    calib = [calibration_loop()]
+    gc.collect()
+    if processes == 1:
+        return calibration_loop()
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(processes) as pool:
+        return max(pool.map(_forked_loop, range(processes), chunksize=1))
+
+
+def _forked_loop(_index):
+    return calibration_loop()
+
+
+#: Wall seconds one calibrated sample accumulates at least: a workload
+#: shorter than this is re-run inside the sample, so one short run's
+#: noise does not decide it.
+MIN_SAMPLE_S = 0.5
+
+
+def _sample(name, lazy):
+    """One sample of workload *name*: back-to-back runs until they add
+    up to :data:`MIN_SAMPLE_S`.  The figure of merit is the runs' total
+    work over their total wall time; the other stats are the last run's.
+    """
+    key = fom_key(name)
     runs = []
+    while sum(run["wall_s"] for run in runs) < MIN_SAMPLE_S:
+        gc.collect()
+        runs.append(_with_lazy(lazy, WORKLOADS[name]))
+    wall = sum(run["wall_s"] for run in runs)
+    work = sum(run[key] * run["wall_s"] for run in runs)
+    return {**runs[-1], "wall_s": wall, key: work / wall, "runs": len(runs)}
+
+
+def calibrated(names, lazy=True, repeats=5):
+    """Take *repeats* samples of each workload in *names*, each sample
+    between two calibration loops.
+
+    The samples go round-robin over *names*, so every workload's samples
+    spread over the whole measurement instead of one stretch of host
+    load.  A sample's ``calib_s`` is the mean of the calibration loops
+    just before and just after it, and ``calibrated`` is its figure of
+    merit times ``calib_s``: work per calibration loop, the quantity the
+    ``kernel`` gate compares.  Returns, per name, the stats of the
+    sample with the median ``calibrated`` value.
+    """
+    samples = {name: [] for name in names}
     for _ in range(repeats):
-        stats = _with_lazy(lazy, WORKLOADS[name])
-        calib.append(calibration_loop())
-        calib_s = (calib[-2] + calib[-1]) / 2
-        runs.append({**stats, "calib_s": calib_s, "calibrated": stats[fom_key(name)] * calib_s})
-    runs.sort(key=lambda stats: stats["calibrated"])
-    return runs[len(runs) // 2]
+        for name in names:
+            processes = PROCESSES.get(name, 1)
+            before = _calibration(processes)
+            stats = _sample(name, lazy)
+            calib_s = (before + _calibration(processes)) / 2
+            samples[name].append({**stats, "calib_s": calib_s,
+                                  "calibrated": stats[fom_key(name)] * calib_s})
+    return {
+        name: sorted(rows, key=lambda stats: stats["calibrated"])[len(rows) // 2]
+        for name, rows in samples.items()
+    }
 
 
 def record_kernel_baseline(path=KERNEL_JSON, repeats=9):
@@ -229,7 +287,7 @@ def record_kernel_baseline(path=KERNEL_JSON, repeats=9):
     The lazy=False rows are the pre-optimization reference (the eager
     O(n) cancellation path); lazy=True is the shipping configuration and
     the baseline the perf smoke guard compares against.  Each row is the
-    median of *repeats* calibrated runs (see :func:`calibrated`), with
+    median of *repeats* calibrated samples (see :func:`calibrated`), with
     its ``calib_s`` and the host's ``nproc``.
 
     Every other top-level section (``headline``, ``traffic``, the pinned
@@ -241,11 +299,12 @@ def record_kernel_baseline(path=KERNEL_JSON, repeats=9):
             doc = json.load(fh)
     except (OSError, ValueError):
         pass
-    entries = []
-    for name in WORKLOADS:
-        for lazy in (False, True):
-            stats = calibrated(name, lazy, repeats)
-            entries.append({"workload": name, "lazy": lazy, "nproc": os.cpu_count(), **stats})
+    rows = {lazy: calibrated(WORKLOADS, lazy, repeats) for lazy in (False, True)}
+    entries = [
+        {"workload": name, "lazy": lazy, "nproc": os.cpu_count(), **rows[lazy][name]}
+        for name in WORKLOADS
+        for lazy in (False, True)
+    ]
     doc = {**doc, "schema": KERNEL_SCHEMA, "entries": entries}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -293,7 +352,7 @@ if __name__ == "__main__":  # pragma: no cover - CLI for the perf guard
     parser.add_argument("--record", action="store_true",
                         help="write lazy on/off baselines to BENCH_kernel.json")
     parser.add_argument("--repeats", type=int, default=9,
-                        help="calibrated runs per baseline row; the median is kept")
+                        help="calibrated samples per baseline row; the median is kept")
     args = parser.parse_args()
     if args.record:
         doc = record_kernel_baseline(repeats=args.repeats)

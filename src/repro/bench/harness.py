@@ -126,9 +126,10 @@ def _attach_tier(cluster, deployment, opts: RunOptions, impl: str, n_clients: in
     Returns the replacement checkpointer, or ``None`` for the direct
     path (``tiers`` unset or ``mode: passthrough`` — the kill switch,
     bit-identical to the pre-tier event sequence).  Must run before the
-    fault injector is created (so ``buf{i}`` targets resolve) and before
-    the collapse plan is computed (so the buffered collapse key is
-    used).
+    fault injector is created (so ``buf{i}`` targets resolve through
+    ``deployment.buffer_tier``) and before the collapse plan is computed
+    (so the buffered collapse key is used).  Node-local buffers are
+    built on first use; see :class:`~repro.storage.buffer.BufferTierRuntime`.
     """
     tier = opts.tiers
     if tier is None or not tier.enabled:
@@ -143,7 +144,6 @@ def _attach_tier(cluster, deployment, opts: RunOptions, impl: str, n_clients: in
 
     runtime = BufferTierRuntime(cluster, deployment, tier, n_ranks=n_clients)
     cls = HostLogLWFSCheckpointer if tier.mode == "hostlog" else BufferedLWFSCheckpointer
-    deployment.buffers = runtime.buffers
     deployment.buffer_tier = runtime
     return cls(deployment, runtime)
 

@@ -23,6 +23,7 @@ With a plan installed the injector:
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional
 
 from ..errors import ServerCrashed
@@ -67,6 +68,13 @@ class FaultInjector:
     def install(self) -> "FaultInjector":
         """Attach to the environment and launch the scheduled events."""
         self.env.faults = self
+        # A node-local buffer is built on first use; build the ones the
+        # plan names now, at set-up, so their drain workers start with
+        # the rest of the fleet and an unknown name fails before the run.
+        for ev in self.plan.events:
+            for target in (ev.target, *ev.targets):
+                if target.startswith("buf"):
+                    self._resolve(target)
         runners = {
             "server_crash": self._crash_proc,
             "disk_stall": self._stall_proc,
@@ -91,18 +99,29 @@ class FaultInjector:
             servers[f"stor{i}"] = srv
         for i, srv in enumerate(getattr(dep, "osts", ())):
             servers[f"ost{i}"] = srv
-        for i, srv in enumerate(getattr(dep, "buffers", ())):
-            servers[f"buf{i}"] = srv
+        tier = getattr(dep, "buffer_tier", None)
+        if tier is not None:
+            for buf in tier.buffers:
+                servers[buf.name] = buf
         return servers
 
     def _resolve(self, target: str):
-        try:
-            return self._servers[target]
-        except KeyError:
+        srv = self._servers.get(target)
+        if srv is not None:
+            return srv
+        tier = getattr(self.deployment, "buffer_tier", None)
+        index = re.fullmatch(r"buf(0|[1-9][0-9]*)", target)
+        if tier is not None and index is not None:
+            srv = tier.buffer(int(index.group(1)))
+        if srv is None:
+            known = sorted(self._servers)
+            if tier is not None and not tier.shared:
+                known.append(f"buf0..buf{tier.n_buffers - 1}")
             raise ValueError(
-                f"fault target {target!r} not in this deployment "
-                f"(known: {sorted(self._servers)})"
-            ) from None
+                f"fault target {target!r} not in this deployment (known: {known})"
+            )
+        self._servers[target] = srv
+        return srv
 
     def _node_id_of(self, target: str) -> int:
         if target.startswith("node:"):

@@ -18,8 +18,9 @@ The gates:
 * ``flow`` — the flow accuracy grid exact and fluid, within
   :data:`FLOW_REL_TOL` at every point.
 * ``shard`` — the analytic fast-forward engine on/off within
-  :data:`FF_REL_TOL`; the Red Storm slice sharded vs single-process
-  within :data:`SHARD_REL_TOL`, and a sharded re-run bit-identical.
+  :data:`FF_REL_TOL`, and still fast-forwarding under a fault plan;
+  the Red Storm slice sharded vs single-process within
+  :data:`SHARD_REL_TOL`, and a sharded re-run bit-identical.
 * ``chaos`` — a seeded fault plan touching every injector kind runs
   twice bit-identically; faults-off reproduces the pinned
   pre-fault-subsystem timelines (:data:`FAULTS_OFF_PINNED`).
@@ -186,9 +187,14 @@ def _flow_grid(flow: bool) -> List[TrialSpec]:
 
 def _ff_grid(fastforward: bool) -> List[TrialSpec]:
     """The fast-forward equivalence gate: flow-mode dumps big enough to
-    keep many concurrent flows live, with the engine forced on or off."""
+    keep many concurrent flows live, with the engine forced on or off.
+    The last point is faulted: a collapsed Red Storm slice through the
+    storage-server crash and the host-side-log tier, whose drains must
+    fast-forward too."""
+    from .machine.presets import red_storm
     from .sim.config import RunOptions
 
+    examples = os.path.join(_REPO_ROOT, "examples")
     return [
         checkpoint_spec(
             impl, n, m, seed=400, state_bytes=32 * MiB,
@@ -196,6 +202,15 @@ def _ff_grid(fastforward: bool) -> List[TrialSpec]:
         )
         for impl in ("lwfs", "lustre-fpp")
         for n, m in ((8, 4), (16, 8))
+    ] + [
+        checkpoint_spec(
+            "lwfs", 256, 16, seed=400, state_bytes=32 * MiB, spec=red_storm(),
+            options=RunOptions(
+                collapse=True, flow=True, fastforward=fastforward,
+                faults=os.path.join(examples, "faults", "storage_crash.json"),
+                tiers=os.path.join(examples, "tiers", "hostlog.json"),
+            ),
+        )
     ]
 
 
@@ -236,6 +251,7 @@ def gate_shard() -> List[Check]:
     )
     fast = run_sweep(_ff_grid(True), jobs=JOBS, label="ff-gate-fast", record=True)
     worst, drifted = _drift(reference, fast, FF_REL_TOL)
+    faulted_ff = int(fast[-1].result.extra.get("events_fast_forwarded", 0))
     (single,) = run_sweep(
         _shard_grid(1), jobs=JOBS, label="shard-gate-single", record=True
     )
@@ -251,12 +267,15 @@ def gate_shard() -> List[Check]:
     return [
         {
             "check": "fastforward-equivalence",
-            "ok": not drifted,
+            # Fast-forward must stay on under the fault plan, not
+            # merely agree with the reference by switching itself off.
+            "ok": not drifted and faulted_ff > 0,
             "points": len(fast),
             "worst_rel_err": worst,
             "tolerance": FF_REL_TOL,
             "drifted": drifted,
             "fast_forwarded": _total(fast, "events_fast_forwarded"),
+            "faulted_fast_forwarded": faulted_ff,
         },
         {
             "check": "shard-tolerance",
@@ -973,15 +992,20 @@ def gate_kernel() -> List[Check]:
     baselines = {e["workload"]: e for e in doc.get("entries", []) if e.get("lazy")}
 
     checks: List[Check] = []
+    measured = [
+        name for name in WORKLOADS
+        if fom_key(name) in baselines.get(name, {}) and "calib_s" in baselines[name]
+    ]
+    results = calibrated(measured, repeats=KERNEL_REPEATS)
     for name in WORKLOADS:
         base = baselines.get(name)
         key = fom_key(name)
-        if base is None or key not in base or "calib_s" not in base:
+        if name not in results:
             checks.append({"check": name, "ok": False,
                            "error": "no calibrated lazy baseline entry; re-record with "
                                     "benchmarks/bench_simkernel_events.py --record"})
             continue
-        stats = calibrated(name, repeats=KERNEL_REPEATS)
+        stats = results[name]
         ratio = stats["calibrated"] / (base[key] * base["calib_s"])
         checks.append({
             "check": name,

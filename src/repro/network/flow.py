@@ -136,11 +136,12 @@ class FlowNetwork:
       their rates — ``O(component)`` per event.
 
     Fast-forward is the default when the environment opts in
-    (``env.fastforward``, wired from ``RunOptions.fastforward``); it
-    disengages automatically whenever a fault injector is installed,
-    because capacity perturbations (crash/stall/degrade) invalidate the
-    steady-state assumption — chaos timelines therefore ride the
-    reference arithmetic bit-identically.
+    (``env.fastforward``, wired from ``RunOptions.fastforward``), with
+    or without a fault plan.  The flow engine is fault-oblivious: link
+    degradation and partitions act only on discrete fabric transfers, a
+    crash interrupts handler processes but never a :class:`Flow`, and a
+    disk stall queues on the controller before a stream opens — so both
+    engines see the same arrivals and departures under faults too.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -162,7 +163,7 @@ class FlowNetwork:
         self._res_flows: Dict[FluidResource, Dict[Flow, None]] = {}
         self._ff_heap: list = []  # (t_done, flow.seq, gen, flow)
         self._armed_at = float("inf")
-        self._ff = env.fastforward and env.faults is None
+        self._ff = env.fastforward
         env._flow_network = self  # type: ignore[attr-defined]
 
     @classmethod
@@ -195,11 +196,6 @@ class FlowNetwork:
             self.env, nbytes, shares, tag, src, dst,
             nbytes if wire_bytes is None else wire_bytes,
         )
-        if self._ff and self.env.faults is not None:
-            # A fault injector appeared after the network was created:
-            # leave fast-forward at a rate-change boundary, where both
-            # engines agree on every flow's remaining bytes.
-            self._leave_fastforward()
         self.flows_opened += 1
         flow.seq = self.flows_opened
         self.flows_active += 1
@@ -520,30 +516,6 @@ class FlowNetwork:
                 )
             f.done.succeed(f)
         self._arm()
-
-    def _leave_fastforward(self) -> None:
-        """Migrate live fast-forward state onto the reference engine.
-
-        Only happens at a rate-change boundary (an ``open``), where both
-        engines agree on every flow's rate and remaining bytes, so the
-        hand-off is exact.
-        """
-        self._ff = False
-        live = sorted(
-            {f for members in self._res_flows.values() for f in members},
-            key=_flow_seq,
-        )
-        now = self.env._now
-        for f in live:
-            dt = now - f.t_last
-            if dt > 0.0:
-                f.remaining -= f.rate * dt
-            f.t_last = now
-        self._flows = live
-        self._last = now
-        self._res_flows.clear()
-        self._ff_heap.clear()
-        self._armed_at = float("inf")
 
 
 def _flow_seq(flow: Flow) -> int:

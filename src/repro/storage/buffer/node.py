@@ -22,7 +22,7 @@ multiplicity through the tier, and the end-of-trial drain barrier.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set
 
@@ -444,7 +444,15 @@ class BufferNode:
 
 
 class BufferTierRuntime:
-    """Per-trial buffer fleet: placement, rank→buffer map, drain barrier."""
+    """Per-trial buffer fleet: placement, rank→buffer map, drain barrier.
+
+    Shared appliances are built up front.  A node-local buffer is built
+    the first time it is asked for (a rank on its node absorbs, or a
+    fault plan names it), so a collapsed run pays only for its
+    representatives' nodes; an unbuilt buffer holds nothing and counts
+    zero in every aggregate.  ``buf{i}`` keeps the name (and so the RNG
+    substreams) it would have had if every buffer were built.
+    """
 
     def __init__(self, cluster, deployment, tier: TierSpec, n_ranks: int) -> None:
         if not tier.enabled:
@@ -454,30 +462,42 @@ class BufferTierRuntime:
         self.tier = tier
         self.mode = tier.mode
         self.n_ranks = n_ranks
-        self.buffers: List[BufferNode] = []
-        if tier.placement == "shared":
+        self.shared = tier.placement == "shared"
+        self._built: Dict[int, BufferNode] = {}
+        if self.shared:
             # Shared appliances sit on the I/O nodes in server order, so
             # buf0 is co-located with stor0 and one storage_crash.json
             # exercises buffer and server recovery together.
+            self.n_buffers = tier.buffer_nodes
             nodes = cluster.io_nodes or cluster.service_nodes
-            for i in range(tier.buffer_nodes):
-                self.buffers.append(
-                    BufferNode(cluster, deployment, nodes[i % len(nodes)], f"buf{i}", tier)
+            for i in range(self.n_buffers):
+                self._built[i] = BufferNode(
+                    cluster, deployment, nodes[i % len(nodes)], f"buf{i}", tier
                 )
         else:
-            n = max(1, min(n_ranks, len(cluster.compute_nodes)))
-            for i in range(n):
-                self.buffers.append(
-                    BufferNode(cluster, deployment, cluster.compute_nodes[i], f"buf{i}", tier)
-                )
-        self._by_node = {b.node.node_id: b for b in self.buffers}
+            self.n_buffers = max(1, min(n_ranks, len(cluster.compute_nodes)))
         self._n_compute = max(1, len(cluster.compute_nodes))
+
+    @property
+    def buffers(self) -> List[BufferNode]:
+        """The buffers built so far, in index order."""
+        return [self._built[i] for i in sorted(self._built)]
+
+    def buffer(self, index: int) -> Optional[BufferNode]:
+        """``buf{index}``, built on first use; ``None`` if out of range."""
+        buf = self._built.get(index)
+        if buf is None and 0 <= index < self.n_buffers:
+            buf = self._built[index] = BufferNode(
+                self.cluster, self.deployment, self.cluster.compute_nodes[index],
+                f"buf{index}", self.tier,
+            )
+        return buf
 
     # -- rank mapping --------------------------------------------------------
     def buffer_for(self, ctx) -> BufferNode:
-        if self.tier.placement == "shared":
-            return self.buffers[ctx.rank % len(self.buffers)]
-        return self._by_node[ctx.node.node_id]
+        if self.shared:
+            return self._built[ctx.rank % self.n_buffers]
+        return self.buffer(ctx.node.node_id - self.cluster.compute_nodes.ids.start)
 
     def collapse_key(self, rank: int, inner: tuple) -> tuple:
         """Extend a checkpointer's collapse key with the tier dimension.
@@ -488,8 +508,8 @@ class BufferTierRuntime:
         (capacity pressure) joins the key; the buffers themselves are
         identical across nodes.
         """
-        if self.tier.placement == "shared":
-            return ("buf", rank % len(self.buffers)) + tuple(inner)
+        if self.shared:
+            return ("buf", rank % self.n_buffers) + tuple(inner)
         c = self._n_compute
         residents = (self.n_ranks - 1 - (rank % c)) // c + 1
         return ("bufl", residents) + tuple(inner)
@@ -497,14 +517,14 @@ class BufferTierRuntime:
     # -- data plane ----------------------------------------------------------
     def absorb(self, ctx, cap, oid, sid: int, data: Piece):
         buf = self.buffer_for(ctx)
-        src = ctx.node if self.tier.placement == "shared" else None
+        src = ctx.node if self.shared else None
         yield from buf.absorb(oid, cap, sid, data, weight=ctx.multiplicity, src_node=src)
 
     def lost(self, oid) -> bool:
-        return any(oid.value in b.lost_oids for b in self.buffers)
+        return any(oid.value in b.lost_oids for b in self._built.values())
 
     def pending_bytes(self, oid) -> int:
-        return sum(b.pending_bytes(oid.value) for b in self.buffers)
+        return sum(b.pending_bytes(oid.value) for b in self._built.values())
 
     def pending_extents(self, oid) -> List[Extent]:
         out: List[Extent] = []
@@ -535,21 +555,25 @@ class BufferTierRuntime:
             env.run(env.process(self.drain_remaining(), name="buffer.drain_barrier"))
         except EmptySchedule:
             incomplete = 1.0
-        totals: Dict[str, float] = {}
-        for buf in self.buffers:
+        # Index order keeps the float sums those of a fully built fleet;
+        # an unbuilt buffer would only have added zeros.
+        buffers = self.buffers
+        totals: Dict[str, float] = defaultdict(float)
+        for buf in buffers:
             for key, val in buf.counters().items():
-                totals[key] = totals.get(key, 0.0) + val
+                totals[key] += val
         first_t = min(
-            (b.first_enqueue_t for b in self.buffers if b.first_enqueue_t is not None),
+            (b.first_enqueue_t for b in buffers if b.first_enqueue_t is not None),
             default=None,
         )
         last_t = max(
-            (b.last_drain_t for b in self.buffers if b.last_drain_t is not None),
+            (b.last_drain_t for b in buffers if b.last_drain_t is not None),
             default=None,
         )
         drain_span = (last_t - first_t) if (first_t is not None and last_t is not None) else 0.0
         out = {
-            "buffer_nodes": float(len(self.buffers)),
+            "buffer_nodes": float(self.n_buffers),
+            "buffer_nodes_built": float(len(self._built)),
             "buffer_absorbed_mb": totals["absorbed_bytes"] / MiB,
             "buffer_drained_mb": totals["drained_bytes"] / MiB,
             "buffer_lost_mb": totals["bytes_lost"] / MiB,

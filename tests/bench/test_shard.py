@@ -1,4 +1,4 @@
-"""Sharded simulation of one big run + fast-forward fallback contracts.
+"""Sharded simulation of one big run: accuracy, determinism, fallback.
 
 Contract under test:
 
@@ -12,9 +12,6 @@ Contract under test:
 * **fallback** — runs that need one global timeline (fault plans,
   tracing, ``lustre-shared``, the burst-buffer tier's drain) fall back
   to single-process execution with a one-time warning per reason;
-* **fast-forward under chaos** — a fault plan disables the analytic
-  epoch-skip engine, so every chaos scenario is bit-identical with
-  ``fastforward=True`` and ``False`` (the fallback *is* the reference);
 * **resource fit** — the executor caps ``jobs × shards`` at the core
   count, and the trial-cache key sees both scale-out kill switches.
 """
@@ -33,8 +30,6 @@ from repro.machine.presets import red_storm
 from repro.sim.config import RunOptions, SimConfig
 from repro.storage.buffer.tier import load_tiers
 from repro.units import MiB
-
-from ..faults.test_injection import SCENARIOS
 
 #: The CI gate's Red Storm slice (see repro.gates._shard_grid).
 N, M, STATE, SEED = 128, 32, 8 * MiB, 500
@@ -162,30 +157,6 @@ class TestShardFallback:
                 "lustre-shared", 8, 4, state_bytes=STATE, seed=SEED,
                 options=RunOptions(shards=2),
             )
-
-
-class TestChaosFastForwardFallback:
-    """A fault plan forces the epoch-skip engine off; the fallback must
-    reproduce the reference (``fastforward=False``) timeline bit-exact on
-    every chaos scenario."""
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_bit_identical_with_and_without_fastforward(self, name):
-        impl, mk = SCENARIOS[name]
-
-        def run(fastforward):
-            return run_checkpoint_trial(
-                impl, 8, 4, state_bytes=STATE, seed=42,
-                options=RunOptions(flow=True, faults=mk(),
-                                   fastforward=fastforward),
-            )
-
-        fast, ref = run(True), run(False)
-        assert fast.extra.get("events_fast_forwarded", 0) == 0
-        assert fast.max_elapsed == ref.max_elapsed
-        assert fast.mean_elapsed == ref.mean_elapsed
-        assert fast.extra == ref.extra
-        assert fast.fault_log == ref.fault_log
 
 
 class TestExecutorClamp:

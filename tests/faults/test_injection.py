@@ -10,7 +10,10 @@ Contract under test:
 * **recovery actually recovers** — crashed servers come back via journal
   replay + 2PC presumed abort, retried RPCs are absorbed exactly-once,
   revocation storms fail writes closed and the re-driven dump re-acquires
-  capabilities.
+  capabilities;
+* **fast-forward composes with faults** — the analytic flow engine stays
+  on under every chaos scenario and reproduces the reference flow
+  engine's timeline within :data:`~repro.gates.FF_REL_TOL`.
 """
 
 import pytest
@@ -18,6 +21,7 @@ import pytest
 from repro.bench import run_checkpoint_trial
 from repro.bench.harness import _build
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
+from repro.gates import FF_REL_TOL
 from repro.sim.config import RunOptions
 from repro.units import MiB
 
@@ -114,6 +118,22 @@ SCENARIOS = {
     "drop+dup": ("lwfs", lambda: FaultPlan(
         rpc_drop_rate=0.05, rpc_dup_rate=0.05, retry=RETRY, seed=SEED)),
 }
+
+
+#: Scenarios whose bulk transfers ride the flow engine at 32 MiB per
+#: rank (``mds-failover`` runs ``lustre-shared``, which never streams).
+STREAMING = frozenset(SCENARIOS) - {"mds-failover"}
+
+#: Scenarios where fast-forward reproduces the reference bit for bit; in
+#: ``drop+dup`` it reassociates one sum and ``max_elapsed`` moves 1 ulp.
+FF_EXACT = frozenset(SCENARIOS) - {"drop+dup"}
+
+#: ``TrialResult.extra`` keys that count the kernel's own work, which
+#: fast-forward exists to change.
+KERNEL_COUNTERS = frozenset({
+    "events_processed", "events_skipped_cancelled", "events_fast_forwarded",
+    "peak_event_queue", "rate_recomputes",
+})
 
 
 def _fingerprint(r):
@@ -219,3 +239,36 @@ class TestRevocationStormUnderLoad:
         storm = [ent for ent in injector.log if ent["kind"] == "revoke_storm"]
         assert [ent["action"] for ent in storm] == ["inject", "recover"]
         assert storm[1]["victims"] >= 1
+
+
+class TestChaosFastForward:
+    """A fault plan leaves the epoch-skip engine on; 32 MiB states open
+    flows, so every streaming scenario really fast-forwards, and each
+    one must reproduce the reference (``fastforward=False``) timeline."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_fastforward_matches_reference(self, name):
+        impl, mk = SCENARIOS[name]
+
+        def run(fastforward):
+            return run_checkpoint_trial(
+                impl, N, M, state_bytes=32 * MiB, seed=SEED,
+                options=RunOptions(flow=True, faults=mk(), fastforward=fastforward),
+            )
+
+        fast, ref = run(True), run(False)
+        forwarded = fast.extra.get("events_fast_forwarded", 0)
+        if name in STREAMING:
+            assert forwarded > 0
+        else:
+            assert forwarded == ref.extra.get("events_fast_forwarded", 0) == 0
+        assert fast.fault_log == ref.fault_log
+        outputs = {k for k in ref.extra if k not in KERNEL_COUNTERS}
+        assert outputs == {k for k in fast.extra if k not in KERNEL_COUNTERS}
+        pairs = [(fast.max_elapsed, ref.max_elapsed),
+                 (fast.mean_elapsed, ref.mean_elapsed)]
+        pairs += [(fast.extra[k], ref.extra[k]) for k in sorted(outputs)]
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=FF_REL_TOL, abs=0.0)
+        if name in FF_EXACT:
+            assert [got for got, _ in pairs] == [want for _, want in pairs]
